@@ -2,15 +2,10 @@
 
 #include <stdexcept>
 
-#include "crypto/sha256.h"
-#include "crypto/sha512.h"
-
 namespace rockfs::crypto {
 
-namespace {
-
 template <typename Hash>
-Bytes hmac_impl(BytesView key, BytesView data) {
+Hmac<Hash>::Hmac(BytesView key) {
   Bytes k(key.begin(), key.end());
   if (k.size() > Hash::kBlockSize) k = Hash::hash(k);
   k.resize(Hash::kBlockSize, 0);
@@ -20,39 +15,54 @@ Bytes hmac_impl(BytesView key, BytesView data) {
     ipad[i] = static_cast<Byte>(k[i] ^ 0x36);
     opad[i] = static_cast<Byte>(k[i] ^ 0x5c);
   }
-
-  Hash inner;
-  inner.update(ipad);
-  inner.update(data);
-  const Bytes inner_digest = inner.finish();
-
-  Hash outer;
-  outer.update(opad);
-  outer.update(inner_digest);
-  return outer.finish();
+  inner_.update(ipad);
+  outer_.update(opad);
 }
 
-}  // namespace
+template <typename Hash>
+Bytes Hmac<Hash>::finish() {
+  outer_.update(inner_.finish());
+  return outer_.finish();
+}
 
-Bytes hmac_sha256(BytesView key, BytesView data) { return hmac_impl<Sha256>(key, data); }
+template class Hmac<Sha256>;
+template class Hmac<Sha512>;
 
-Bytes hmac_sha512(BytesView key, BytesView data) { return hmac_impl<Sha512>(key, data); }
+Bytes hmac_sha256(BytesView key, BytesView data) {
+  HmacSha256 mac(key);
+  mac.update(data);
+  return mac.finish();
+}
+
+Bytes hmac_sha512(BytesView key, BytesView data) {
+  Hmac<Sha512> mac(key);
+  mac.update(data);
+  return mac.finish();
+}
 
 Bytes hkdf_sha256(BytesView ikm, BytesView salt, BytesView info, std::size_t out_len) {
-  if (out_len > 255 * Sha256::kDigestSize) throw std::invalid_argument("hkdf: out_len too large");
+  return hkdf_sha256_expand(hkdf_sha256_extract(ikm, salt), info, out_len);
+}
+
+Bytes hkdf_sha256_extract(BytesView ikm, BytesView salt) {
   Bytes effective_salt(salt.begin(), salt.end());
   if (effective_salt.empty()) effective_salt.assign(Sha256::kDigestSize, 0);
-  const Bytes prk = hmac_sha256(effective_salt, ikm);
+  return hmac_sha256(effective_salt, ikm);
+}
 
+Bytes hkdf_sha256_expand(BytesView prk, BytesView info, std::size_t out_len) {
+  if (out_len > 255 * Sha256::kDigestSize) throw std::invalid_argument("hkdf: out_len too large");
   Bytes okm;
   okm.reserve(out_len);
   Bytes t;
   Byte counter = 1;
   while (okm.size() < out_len) {
-    Bytes block = t;
-    append(block, info);
-    block.push_back(counter++);
-    t = hmac_sha256(prk, block);
+    HmacSha256 mac(prk);
+    mac.update(t);
+    mac.update(info);
+    mac.update(BytesView(&counter, 1));
+    t = mac.finish();
+    ++counter;
     const std::size_t take = std::min(t.size(), out_len - okm.size());
     okm.insert(okm.end(), t.begin(), t.begin() + static_cast<std::ptrdiff_t>(take));
   }

@@ -21,8 +21,6 @@ class Sha256 {
   static Bytes hash(BytesView data);
 
  private:
-  void process_block(const Byte* block);
-
   std::array<std::uint32_t, 8> h_;
   std::array<Byte, kBlockSize> buf_{};
   std::size_t buf_len_ = 0;

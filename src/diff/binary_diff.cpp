@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "crypto/sha256.h"
 
 namespace rockfs::diff {
 
@@ -15,33 +14,39 @@ namespace {
 constexpr Byte kOpCopy = 0x01;
 constexpr Byte kOpInsert = 0x02;
 
-// Adler-32-style weak rolling checksum.
-struct RollingHash {
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  std::size_t len = 0;
-
+// Adler-32-style weak rolling checksum over a fixed window length. Sums stay
+// reduced mod kMod by conditional subtraction; rolling a byte out removes its
+// len * out contribution to `b`, precomputed per byte value.
+class RollingHash {
+ public:
   static constexpr std::uint32_t kMod = 65521;
 
+  explicit RollingHash(std::size_t len) {
+    const std::uint32_t len_mod = static_cast<std::uint32_t>(len % kMod);
+    for (std::uint32_t x = 0; x < 256; ++x) drop_[x] = len_mod * x % kMod;
+  }
+
   void init(BytesView window) {
-    a = b = 0;
-    len = window.size();
+    a_ = b_ = 0;
     for (const Byte x : window) {
-      a = (a + x) % kMod;
-      b = (b + a) % kMod;
+      a_ = reduce(a_ + x);
+      b_ = reduce(b_ + a_);
     }
   }
   void roll(Byte out, Byte in) {
-    a = (a + kMod - out + in) % kMod;
-    b = (b + kMod - static_cast<std::uint32_t>(len % kMod) * out % kMod + a) % kMod;
+    a_ = reduce(reduce(a_ + in) + kMod - out);
+    b_ = reduce(reduce(b_ + kMod - drop_[out]) + a_);
   }
-  std::uint32_t digest() const { return (b << 16) | a; }
-};
+  std::uint32_t digest() const { return (b_ << 16) | a_; }
 
-std::uint64_t strong_hash(BytesView block) {
-  const Bytes h = crypto::sha256(block);
-  return read_u64(h, 0);
-}
+ private:
+  // x < 2 * kMod.
+  static std::uint32_t reduce(std::uint32_t x) { return x >= kMod ? x - kMod : x; }
+
+  std::uint32_t a_ = 0;
+  std::uint32_t b_ = 0;
+  std::uint32_t drop_[256];
+};
 
 std::size_t pick_block_size(std::size_t old_size) {
   if (old_size < 4096) return std::max<std::size_t>(old_size / 4, 16);
@@ -71,18 +76,14 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
   }
   const std::size_t bs = block_size != 0 ? block_size : pick_block_size(old_data.size());
 
-  // Index old blocks by weak hash -> (strong hash, offset).
-  struct BlockRef {
-    std::uint64_t strong;
-    std::size_t offset;
-  };
-  std::unordered_multimap<std::uint32_t, BlockRef> index;
+  // Index old blocks by weak hash -> offset. A weak hit is confirmed by
+  // comparing the bytes, so no strong hash is needed.
+  std::unordered_multimap<std::uint32_t, std::size_t> index;
   index.reserve(old_data.size() / bs + 1);
-  RollingHash wh;
+  RollingHash rh(bs);
   for (std::size_t off = 0; off + bs <= old_data.size(); off += bs) {
-    const BytesView block = old_data.subspan(off, bs);
-    wh.init(block);
-    index.emplace(wh.digest(), BlockRef{strong_hash(block), off});
+    rh.init(old_data.subspan(off, bs));
+    index.emplace(rh.digest(), off);
   }
 
   Bytes pending_literal;
@@ -103,7 +104,6 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
     pending_literal.clear();
   };
 
-  RollingHash rh;
   bool rh_valid = false;
   while (pos < new_data.size()) {
     if (pos + bs > new_data.size()) {
@@ -119,17 +119,12 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
     }
     // Look up the window.
     std::size_t match_off = SIZE_MAX;
-    auto [it, end] = index.equal_range(rh.digest());
-    if (it != end) {
-      const std::uint64_t strong = strong_hash(new_data.subspan(pos, bs));
-      for (; it != end; ++it) {
-        if (it->second.strong == strong &&
-            std::equal(new_data.begin() + static_cast<std::ptrdiff_t>(pos),
-                       new_data.begin() + static_cast<std::ptrdiff_t>(pos + bs),
-                       old_data.begin() + static_cast<std::ptrdiff_t>(it->second.offset))) {
-          match_off = it->second.offset;
-          break;
-        }
+    for (auto [it, end] = index.equal_range(rh.digest()); it != end; ++it) {
+      if (std::equal(new_data.begin() + static_cast<std::ptrdiff_t>(pos),
+                     new_data.begin() + static_cast<std::ptrdiff_t>(pos + bs),
+                     old_data.begin() + static_cast<std::ptrdiff_t>(it->second))) {
+        match_off = it->second;
+        break;
       }
     }
     if (match_off != SIZE_MAX) {

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/hex.h"
+#include "common/rng.h"
 #include "crypto/aes.h"
 #include "crypto/bigint.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
@@ -186,6 +189,232 @@ TEST(SealedBox, WrongKeyOrAadFails) {
   EXPECT_EQ(open_sealed(other, box, to_bytes("aad")).code(), ErrorCode::kIntegrity);
   EXPECT_EQ(open_sealed(key, box, to_bytes("AAD")).code(), ErrorCode::kIntegrity);
   EXPECT_EQ(open_sealed(key, Bytes(10, 0), {}).code(), ErrorCode::kCorrupted);
+}
+
+// A box sealed by the two-copy seal() this one replaced: the streaming MAC
+// and the shared HKDF extract must not change a stored byte.
+TEST(SealedBox, MatchesBoxRecordedBeforeStreamingMac) {
+  Bytes key(32), iv(16);
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<Byte>(i);
+  for (std::size_t i = 0; i < iv.size(); ++i) iv[i] = static_cast<Byte>(0xF0 + i);
+  Rng rng(7);
+  const Bytes pt = rng.next_bytes(1037);
+  const Bytes box = seal(key, pt, to_bytes("rockfs.golden"), iv);
+  EXPECT_EQ(hex_encode(sha256(box)),
+            "df511b8e4a07c0ac9f5b06ffe67498388d41b9f5fc6619b982f1be3f8bb16e7f");
+  EXPECT_EQ(hex_encode(seal(key, {}, {}, iv)),
+            "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff3853f7311908c7f304dab1ff5d9935d8"
+            "db9f1d89ee24806196f6d04608d26aae");
+  const auto opened = open_sealed(key, box, to_bytes("rockfs.golden"));
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, pt);
+}
+
+TEST(Hmac, StreamingMatchesOneShot) {
+  Rng rng(8);
+  const Bytes key = rng.next_bytes(100);  // longer than a block: hashed first
+  const Bytes msg = rng.next_bytes(1000);
+  HmacSha256 mac(key);
+  mac.update(BytesView(msg).first(1));
+  mac.update(BytesView(msg).subspan(1, 400));
+  mac.update(BytesView(msg).subspan(401));
+  EXPECT_EQ(mac.finish(), hmac_sha256(key, msg));
+}
+
+TEST(Hkdf, ExtractExpandSplitMatchesOneCall) {
+  const Bytes ikm = to_bytes("input keying material");
+  const Bytes prk = hkdf_sha256_extract(ikm, {});
+  EXPECT_EQ(hkdf_sha256_expand(prk, to_bytes("a"), 80),
+            hkdf_sha256(ikm, {}, to_bytes("a"), 80));
+}
+
+// ------------------------------------------------- fast kernels vs portable
+//
+// Every kernel built for this architecture runs against the portable kernel
+// (the original scalar code) and the known-answer vectors. A kernel whose
+// instructions the host lacks is skipped with a message naming them.
+
+template <typename K>
+const K* find_kernel(std::span<const K> kernels, const std::string& name) {
+  for (const K& k : kernels) {
+    if (name == k.name) return &k;
+  }
+  return nullptr;
+}
+
+// Why `kernel` cannot run here, or "" when it can.
+template <typename K>
+std::string unrunnable(const K* kernel, const std::string& name) {
+  if (kernel == nullptr) return name + " is not built for this architecture";
+  if (!kernel->supported) return "host lacks " + std::string(kernel->isa) + " for " + name;
+  return "";
+}
+
+class AesCtrKernelTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    kernel_ = find_kernel(detail::aes_ctr_kernels(), GetParam());
+    portable_ = find_kernel(detail::aes_ctr_kernels(), std::string("portable"));
+    ASSERT_NE(portable_, nullptr);
+    const std::string why = unrunnable(kernel_, GetParam());
+    if (!why.empty()) GTEST_SKIP() << why;
+  }
+  Bytes run(const detail::AesCtrKernel& k, BytesView key, BytesView iv, BytesView in) const {
+    Bytes out(in.size());
+    k.fn(key.data(), iv.data(), in.data(), out.data(), in.size());
+    return out;
+  }
+  const detail::AesCtrKernel* kernel_ = nullptr;
+  const detail::AesCtrKernel* portable_ = nullptr;
+};
+
+TEST_P(AesCtrKernelTest, KnownAnswers) {
+  // FIPS-197 C.3: with a zero input, CTR's first output block is E(key, iv).
+  const Bytes fips_key =
+      hex_decode("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
+  EXPECT_EQ(hex_encode(run(*kernel_, fips_key, hex_decode("00112233445566778899aabbccddeeff"),
+                           Bytes(16, 0))),
+            "8ea2b7ca516745bfeafc49904b496089");
+  // SP 800-38A F.5.5 CTR-AES256.Encrypt, all four blocks.
+  const Bytes key =
+      hex_decode("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+  const Bytes iv = hex_decode("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+  const Bytes pt = hex_decode(
+      "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710");
+  EXPECT_EQ(hex_encode(run(*kernel_, key, iv, pt)),
+            "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5"
+            "2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6");
+}
+
+TEST_P(AesCtrKernelTest, MatchesPortableOnRandomLengthsAndOffsets) {
+  Rng rng(31);
+  const Bytes buf = rng.next_bytes(70'000 + 32);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes key = rng.next_bytes(32), iv = rng.next_bytes(16);
+    // Every length below one block, uniform lengths, then lengths one byte
+    // either side of a block multiple (batches are 8 blocks).
+    std::size_t len = static_cast<std::size_t>(trial);
+    if (trial >= 20) len = rng.next_below(70'001);
+    if (trial >= 160) len = 16 * (1 + rng.next_below(40)) + rng.next_below(3) - 1;
+    const std::size_t in_off = rng.next_below(17), out_off = rng.next_below(17);
+    const BytesView in = BytesView(buf).subspan(in_off, len);
+    Bytes fast(len + out_off), slow(len);
+    kernel_->fn(key.data(), iv.data(), in.data(), fast.data() + out_off, len);
+    portable_->fn(key.data(), iv.data(), in.data(), slow.data(), len);
+    ASSERT_EQ(Bytes(fast.begin() + static_cast<std::ptrdiff_t>(out_off), fast.end()), slow)
+        << "len " << len << " in_off " << in_off << " out_off " << out_off;
+  }
+}
+
+TEST_P(AesCtrKernelTest, CounterCarriesMatchPortable) {
+  const Bytes key(32, 0x5C);
+  const Bytes data = Rng(32).next_bytes(16 * 40 + 7);
+  // Carry out of byte 15 mid-batch, across the 64-bit halves, and the
+  // 128-bit wrap to zero.
+  for (const char* iv_hex : {"000102030405060708090a0b0c0d0ef3",
+                             "0001020304050607fffffffffffffff9",
+                             "00010203040506ffffffffffffffffff",
+                             "fffffffffffffffffffffffffffffffd"}) {
+    const Bytes iv = hex_decode(iv_hex);
+    EXPECT_EQ(run(*kernel_, key, iv, data), run(*portable_, key, iv, data)) << iv_hex;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, AesCtrKernelTest, ::testing::Values("aesni", "portable"),
+                         [](const auto& info) { return info.param; });
+
+// SHA-256 of `msg` through one compression kernel (FIPS 180-4 padding).
+Bytes sha256_with(const detail::Sha256Kernel& k, BytesView msg) {
+  std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                        0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  append_u64(padded, static_cast<std::uint64_t>(msg.size()) * 8);
+  k.fn(h, padded.data(), padded.size() / 64);
+  Bytes out;
+  for (const std::uint32_t word : h) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<Byte>(word >> shift));
+    }
+  }
+  return out;
+}
+
+class Sha256KernelTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    kernel_ = find_kernel(detail::sha256_kernels(), GetParam());
+    portable_ = find_kernel(detail::sha256_kernels(), std::string("portable"));
+    ASSERT_NE(portable_, nullptr);
+    const std::string why = unrunnable(kernel_, GetParam());
+    if (!why.empty()) GTEST_SKIP() << why;
+  }
+  const detail::Sha256Kernel* kernel_ = nullptr;
+  const detail::Sha256Kernel* portable_ = nullptr;
+};
+
+TEST_P(Sha256KernelTest, KnownAnswers) {
+  EXPECT_EQ(hex_encode(sha256_with(*kernel_, to_bytes(""))),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex_encode(sha256_with(*kernel_, to_bytes("abc"))),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  const Bytes two_blocks =
+      to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  EXPECT_EQ(hex_encode(sha256_with(*kernel_, two_blocks)),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex_encode(sha256_with(*kernel_, Bytes(1'000'000, 'a'))),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256KernelTest, MatchesPortableOnRandomBlocksAndOffsets) {
+  Rng rng(33);
+  const Bytes buf = rng.next_bytes(70'000 + 64);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t nblocks = rng.next_below(70'000 / 64 + 1);
+    const std::size_t off = rng.next_below(64);
+    std::uint32_t fast[8], slow[8];
+    for (int i = 0; i < 8; ++i) fast[i] = slow[i] = static_cast<std::uint32_t>(rng.next_u64());
+    kernel_->fn(fast, buf.data() + off, nblocks);
+    portable_->fn(slow, buf.data() + off, nblocks);
+    ASSERT_TRUE(std::equal(fast, fast + 8, slow)) << "blocks " << nblocks << " off " << off;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha256KernelTest, ::testing::Values("shani", "portable"),
+                         [](const auto& info) { return info.param; });
+
+// The dispatched Sha256 (whatever kernel the host picked) against the
+// portable kernel, with update() split at random points and every padding
+// edge (tails of 55, 56, 63 and 64 bytes) covered by the random lengths.
+TEST(Sha256, RandomSplitsMatchPortable) {
+  const auto* portable = find_kernel(detail::sha256_kernels(), std::string("portable"));
+  ASSERT_NE(portable, nullptr);
+  Rng rng(34);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t len = trial < 130 ? static_cast<std::size_t>(trial)
+                                        : rng.next_below(70'001);
+    const Bytes msg = rng.next_bytes(len);
+    Sha256 ctx;
+    for (std::size_t off = 0; off < len;) {
+      const std::size_t take = std::min<std::size_t>(len - off, rng.next_below(300));
+      ctx.update(BytesView(msg).subspan(off, take));
+      off += take;
+    }
+    ASSERT_EQ(ctx.finish(), sha256_with(*portable, msg)) << "len " << len;
+  }
+}
+
+TEST(Aes256Ctr, DispatchedMatchesPortable) {
+  const auto* portable = find_kernel(detail::aes_ctr_kernels(), std::string("portable"));
+  ASSERT_NE(portable, nullptr);
+  Rng rng(35);
+  const Bytes key = rng.next_bytes(32), iv = rng.next_bytes(16);
+  const Bytes data = rng.next_bytes(10'007);
+  Bytes expect(data.size());
+  portable->fn(key.data(), iv.data(), data.data(), expect.data(), data.size());
+  EXPECT_EQ(aes256_ctr(key, iv, data), expect);
 }
 
 // ---------------------------------------------------------------- DRBG

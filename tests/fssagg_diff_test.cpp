@@ -2,8 +2,13 @@
 
 #include <algorithm>
 
+#include <string>
+#include <vector>
+
+#include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
 #include "diff/binary_diff.h"
 #include "fssagg/fssagg.h"
 
@@ -235,6 +240,91 @@ TEST(Diff, EmptyEdgeCases) {
   auto p3 = diff::patch({}, diff::encode({}, {}));
   ASSERT_TRUE(p3.ok());
   EXPECT_TRUE(p3->empty());
+}
+
+// Deltas are stored bytes (the log payload), so a matcher speed-up must not
+// change one of them. The digests were recorded with the SHA-256-confirmed
+// matcher this one replaced; the seeded corpus covers both +30% workloads at
+// 1 MiB, empty inputs, files below 4 KiB, the block-size edges at 4096 and
+// 1 MiB, a file of repeated blocks (several candidates per weak hash) and an
+// explicit block size above the checksum modulus.
+TEST(Diff, DeltasMatchRecordedDigests) {
+  Rng rng(20261017);
+  auto edited = [&](Bytes b, std::size_t edits) {
+    for (std::size_t i = 0; i < edits && !b.empty(); ++i) {
+      const std::size_t at = rng.next_below(b.size());
+      const Bytes ins = rng.next_bytes(1 + rng.next_below(40));
+      b[at] ^= 0x5A;
+      b.insert(b.begin() + static_cast<std::ptrdiff_t>(at), ins.begin(), ins.end());
+    }
+    return b;
+  };
+  struct Case {
+    std::string name;
+    Bytes old_data, new_data;
+    std::size_t block_size;
+  };
+  std::vector<Case> cases;
+  {
+    const Bytes base = rng.next_bytes(1 << 20);
+    Bytes upd = base;
+    const std::size_t len = upd.size() * 3 / 10;
+    const std::size_t at = rng.next_below(upd.size() - len);
+    const Bytes fresh = rng.next_bytes(len);
+    std::copy(fresh.begin(), fresh.end(), upd.begin() + static_cast<std::ptrdiff_t>(at));
+    cases.push_back({"rewrite30_1MiB", base, upd, 0});
+  }
+  {
+    const Bytes base = rng.next_bytes(1 << 20);
+    Bytes upd = base;
+    append(upd, rng.next_bytes(base.size() * 3 / 10));
+    cases.push_back({"append30_1MiB", base, upd, 0});
+  }
+  cases.push_back({"empty_old", {}, rng.next_bytes(5000), 0});
+  cases.push_back({"empty_new", rng.next_bytes(5000), {}, 0});
+  cases.push_back({"both_empty", {}, {}, 0});
+  for (const std::size_t n : {std::size_t{100}, std::size_t{3000}, std::size_t{4095},
+                              std::size_t{4096}, std::size_t{(1 << 20) - 1},
+                              std::size_t{1 << 20}}) {
+    const Bytes base = rng.next_bytes(n);
+    cases.push_back({"edited_" + std::to_string(n), base, edited(base, 8), 0});
+  }
+  {
+    const Bytes period = rng.next_bytes(1024);
+    Bytes base;
+    for (int i = 0; i < 64; ++i) append(base, period);
+    cases.push_back({"repetitive_64KiB", base, edited(base, 5), 0});
+  }
+  {
+    const Bytes base = rng.next_bytes(300000);
+    cases.push_back({"block70000", base, edited(base, 4), 70000});
+  }
+
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"rewrite30_1MiB", "5e08bb02f68fd250e6ca0fa2826f359d91c7800674ef54cfd2464910bca68985"},
+      {"append30_1MiB", "02486e682bd16be16fd2f1f3e2acdb0c3c05a2ad3fb0ed85e948fcdbdcb531f7"},
+      {"empty_old", "f300a655aa89087e5974b0746b0d364f797669b72dce6ccd2f616fe5ed120a57"},
+      {"empty_new", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"both_empty", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"edited_100", "fc3dcc2f1222bacb614c8dde1d408bf9df01ce8182e631817391cdf7ee05e5b3"},
+      {"edited_3000", "2bd88bff3a4131b6bf5d60ac57fee54425878a286475848cf648a8d8f333006c"},
+      {"edited_4095", "56635e642ff0300d2751fdd0df47682648a4ed305a27d713b5fdcc47e3ec4a51"},
+      {"edited_4096", "e7868b9682db9c9bfdf8d6a334c5748efb1a18645568d382f67ab07b399eece9"},
+      {"edited_1048575", "ecdbca3d595986837ae12e12731308637c6811bb3e2275aeb14cd7b5f2660136"},
+      {"edited_1048576", "b07fdbf99080a537b923d12c2eb9c60f53d665d6f37d35008f2784873b00a62c"},
+      {"repetitive_64KiB", "ebb6d599204e90da94c46d5f7491ae9007f3dac3632bc40be0d9fcf2a70fa508"},
+      {"block70000", "4cd585cae40c43c007538058d2710910cf28e495310cdaea3121364d5f0f85c6"},
+  };
+  ASSERT_EQ(cases.size(), expected.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    ASSERT_EQ(c.name, expected[i].first);
+    const Bytes delta = diff::encode(c.old_data, c.new_data, c.block_size);
+    EXPECT_EQ(hex_encode(crypto::sha256(delta)), expected[i].second) << c.name;
+    const auto patched = diff::patch(c.old_data, delta);
+    ASSERT_TRUE(patched.ok()) << c.name;
+    EXPECT_EQ(*patched, c.new_data) << c.name;
+  }
 }
 
 TEST(Diff, PatchRejectsCorruptDelta) {

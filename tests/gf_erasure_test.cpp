@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "common/hex.h"
 #include "common/rng.h"
+#include "crypto/sha256.h"
+#include "erasure/kernels.h"
 #include "erasure/reed_solomon.h"
 #include "gf/gf256.h"
 
@@ -221,6 +225,113 @@ TEST(ReedSolomon, DecodeFromParityOnly) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, data);
 }
+
+// ------------------------------------------- fast kernels vs the gf::mul oracle
+//
+// Every multiply-accumulate kernel built for this architecture runs against
+// the scalar gf::mul loop and, through encode/decode, against the column-wise
+// Matrix::apply code. A kernel whose instructions the host lacks is skipped
+// with a message naming them.
+
+// Column-wise encode with gf::mul, the arithmetic ReedSolomon used before the
+// row kernels.
+std::vector<Bytes> oracle_encode(std::size_t k, std::size_t n, BytesView data) {
+  const gf::Matrix coding = erasure::detail::systematic_matrix(k, n);
+  const std::size_t stride = std::max<std::size_t>((data.size() + k - 1) / k, 1);
+  std::vector<Bytes> shards(n, Bytes(stride, 0));
+  for (std::size_t pos = 0; pos < stride; ++pos) {
+    Bytes column(k, 0);
+    for (std::size_t c = 0; c < k; ++c) {
+      if (c * stride + pos < data.size()) column[c] = data[c * stride + pos];
+    }
+    const Bytes coded = coding.apply(column);
+    for (std::size_t r = 0; r < n; ++r) shards[r][pos] = coded[r];
+  }
+  return shards;
+}
+
+class MulAccKernelTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    for (const auto& k : erasure::detail::mul_acc_kernels()) {
+      if (GetParam() == k.name) kernel_ = &k;
+    }
+    if (kernel_ == nullptr) {
+      GTEST_SKIP() << GetParam() << " is not built for this architecture";
+    }
+    if (!kernel_->supported) {
+      GTEST_SKIP() << "host lacks " << kernel_->isa << " for " << GetParam();
+    }
+  }
+  const erasure::detail::MulAccKernel* kernel_ = nullptr;
+};
+
+TEST_P(MulAccKernelTest, MatchesGfMulOnRandomLengthsAndOffsets) {
+  Rng rng(41);
+  const Bytes in_buf = rng.next_bytes(70'000 + 64);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Every coefficient once, then random ones; lengths around the vector
+    // width as well as uniform up to 70 000.
+    const auto coef = static_cast<std::uint8_t>(trial < 256 ? trial : rng.next_below(256));
+    const std::size_t len = trial % 2 == 0 ? rng.next_below(70'001) : rng.next_below(100);
+    const std::size_t in_off = rng.next_below(33), out_off = rng.next_below(33);
+    const Bytes start = rng.next_bytes(len + out_off);
+    Bytes fast = start, slow = start;
+    kernel_->fn(coef, in_buf.data() + in_off, fast.data() + out_off, len);
+    for (std::size_t i = 0; i < len; ++i) {
+      slow[out_off + i] ^= gf::mul(coef, in_buf[in_off + i]);
+    }
+    ASSERT_EQ(fast, slow) << "coef " << int{coef} << " len " << len;
+  }
+}
+
+TEST_P(MulAccKernelTest, EncodeMatchesOracleAndDecodesFromEveryKSubset) {
+  Rng rng(42);
+  for (const auto& [k, n] : {std::pair<std::size_t, std::size_t>{2, 4}, {3, 5}}) {
+    const gf::Matrix coding = erasure::detail::systematic_matrix(k, n);
+    // 0, 1, a size that is not a multiple of k, and a large odd one.
+    for (const std::size_t size :
+         {std::size_t{0}, std::size_t{1}, 3 * k + 1, std::size_t{70'001}}) {
+      const Bytes data = rng.next_bytes(size);
+      const auto shards = erasure::detail::encode_with(coding, data, kernel_->fn, nullptr);
+      const auto expect = oracle_encode(k, n, data);
+      ASSERT_EQ(shards.size(), n);
+      for (std::size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(shards[r].data, expect[r]) << "k=" << k << " size=" << size << " row " << r;
+      }
+      // Every k-subset, as a bitmask over the n shards.
+      for (unsigned mask = 0; mask < (1u << n); ++mask) {
+        if (static_cast<std::size_t>(__builtin_popcount(mask)) != k) continue;
+        std::vector<erasure::Shard> subset;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (mask & (1u << i)) subset.push_back(shards[i]);
+        }
+        const auto out = erasure::detail::decode_with(coding, subset, size, kernel_->fn);
+        ASSERT_TRUE(out.ok()) << "mask " << mask;
+        ASSERT_EQ(*out, data) << "k=" << k << " size=" << size << " mask " << mask;
+      }
+    }
+  }
+}
+
+// Shard bytes recorded with the column-wise gf::mul encoder.
+TEST_P(MulAccKernelTest, EncodeMatchesRecordedDigests) {
+  for (const auto& [k, n, digest] :
+       {std::tuple<std::size_t, std::size_t, const char*>{
+            2, 4, "6ddfe115b73bbde7fda4ee3d975b1ee6e55c684fcef5f531ded6891c7888ef1e"},
+        {3, 5, "9e1e3404603d3b882d4f59e5a4fc08f1c9611d8d13afb27df03c2303572dd41b"}}) {
+    Rng rng(1000 + k);
+    const Bytes data = rng.next_bytes(10'001);
+    const gf::Matrix coding = erasure::detail::systematic_matrix(k, n);
+    const auto shards = erasure::detail::encode_with(coding, data, kernel_->fn, nullptr);
+    crypto::Sha256 h;
+    for (const auto& s : shards) h.update(s.data);
+    EXPECT_EQ(hex_encode(h.finish()), digest) << "k=" << k << " n=" << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, MulAccKernelTest, ::testing::Values("gfni", "avx2", "table"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace rockfs
