@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "rockfs/multiclient.h"
+#include "rockfs/soak.h"
 
 namespace rockfs::bench {
 namespace {

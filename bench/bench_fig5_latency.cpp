@@ -19,7 +19,9 @@ struct Cell {
 
 // Worst relative disagreement seen between the measured close() delay and
 // the trace's summed exclusive span durations (reconcile_exclusive_us).
+// It must stay below kMaxReconcileErr or the bench exits nonzero.
 double g_max_reconcile_err = 0;
+constexpr double kMaxReconcileErr = 0.01;
 
 void check_reconciliation(sim::SimClock::Micros measured) {
   const auto events = obs::tracer().events();
@@ -61,7 +63,8 @@ Cell run_cell(std::size_t size_mb, scfs::SyncMode mode, const BenchArgs& args) {
   return cell;
 }
 
-void run(const BenchArgs& args) {
+/// Returns false when the trace reconciliation gate fails.
+bool run(const BenchArgs& args) {
   const std::vector<std::size_t> sizes =
       args.quick ? std::vector<std::size_t>{1, 5, 10}
                  : std::vector<std::size_t>{1, 5, 10, 20, 30, 40, 50};
@@ -89,6 +92,10 @@ void run(const BenchArgs& args) {
   std::printf("trace reconciliation: max |exclusive-sum - close latency| = %.4f%% "
               "(must stay <1%%)\n",
               g_max_reconcile_err * 100.0);
+  if (g_max_reconcile_err < kMaxReconcileErr) return true;
+  std::fprintf(stderr, "trace reconciliation FAILED: exclusive spans do not sum to "
+                       "the close latency\n");
+  return false;
 }
 
 }  // namespace
@@ -96,7 +103,7 @@ void run(const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   const auto args = rockfs::bench::BenchArgs::parse(argc, argv);
-  rockfs::bench::run(args);
+  const bool ok = rockfs::bench::run(args);
   rockfs::bench::dump_metrics_json(args);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "rockfs/multiclient.h"
+#include "rockfs/soak.h"
 
 namespace rockfs::bench {
 namespace {
@@ -111,7 +111,8 @@ double close_latency_ms(bool fencing, int files, std::uint64_t seed) {
   return mean(ms);
 }
 
-void run(const BenchArgs& args) {
+/// Returns false when the chaos soak does not converge.
+bool run(const BenchArgs& args) {
   const int files = args.quick ? 6 : 24;
   const int lock_paths = args.quick ? 8 : 32;
   const std::uint64_t seed = 2028;
@@ -140,10 +141,7 @@ void run(const BenchArgs& args) {
 
   core::MultiClientOptions soak;
   soak.seed = seed;
-  soak.agents = 3;
-  soak.paths = 2;
   soak.rounds = args.quick ? 12 : 24;
-  soak.lease_ttl_us = kTtlUs;
   const auto report = core::run_multiclient_soak(soak);
   print_header("chaos soak (3 agents, crash + hang schedules)",
                {"counter", "value"});
@@ -177,6 +175,8 @@ void run(const BenchArgs& args) {
                 report.converged() ? "true" : "false", report.digest.c_str());
   json += buf;
   std::printf("\n%s\n", json.c_str());
+  if (!report.converged()) std::fprintf(stderr, "soak did not converge\n");
+  return report.converged();
 }
 
 }  // namespace
@@ -184,7 +184,7 @@ void run(const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   const auto args = rockfs::bench::BenchArgs::parse(argc, argv);
-  rockfs::bench::run(args);
+  const bool ok = rockfs::bench::run(args);
   rockfs::bench::dump_metrics_json(args);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "rockfs/malicious.h"
+#include "rockfs/soak.h"
 #include "sim/faults.h"
 
 namespace rockfs::bench {

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "rockfs/compromise.h"
 #include "rockfs/revocation.h"
+#include "rockfs/soak.h"
 
 namespace rockfs::bench {
 namespace {
@@ -73,7 +73,8 @@ double audit_ms(std::uint64_t seed, int files, int rotations) {
   return static_cast<double>(dep.clock()->now_us() - t0) / 1e3;
 }
 
-void run(const BenchArgs& args) {
+/// Returns false when the chaos soak breaks lockout or does not converge.
+bool run(const BenchArgs& args) {
   const int files = args.quick ? 4 : 12;
   const std::uint64_t seed = 2029;
 
@@ -151,6 +152,9 @@ void run(const BenchArgs& args) {
                 report.converged ? "true" : "false", report.honest_digest.c_str());
   json += buf;
   std::printf("\n%s\n", json.c_str());
+  const bool ok = report.lockout_held && report.converged;
+  if (!ok) std::fprintf(stderr, "soak broke lockout or did not converge\n");
+  return ok;
 }
 
 }  // namespace
@@ -158,7 +162,7 @@ void run(const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   const auto args = rockfs::bench::BenchArgs::parse(argc, argv);
-  rockfs::bench::run(args);
+  const bool ok = rockfs::bench::run(args);
   rockfs::bench::dump_metrics_json(args);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -37,8 +37,10 @@ void ThreadPool::worker_loop() {
       fn = std::move(queue_.front());
       queue_.pop_front();
     }
-    fn();
+    // Count before running: fn() may complete a future, and a caller that
+    // saw it complete must also see the task counted.
     executed_.fetch_add(1, std::memory_order_relaxed);
+    fn();
   }
 }
 

@@ -159,6 +159,11 @@ Status Deployment::login_with_external(const std::string& user_id) {
   return agent(user_id).login(us.sealed, material);
 }
 
+Status Deployment::relogin(const std::string& user_id) {
+  auto st = login_default(user_id);
+  return st.ok() ? st : login_with_external(user_id);
+}
+
 std::vector<cloud::AccessToken> Deployment::admin_tokens() {
   std::vector<cloud::AccessToken> tokens;
   tokens.reserve(clouds_.size());
@@ -437,9 +442,7 @@ Result<Deployment::CompromiseResponse> Deployment::respond_to_compromise(
     // 8. The honest client logs back in from the new deal (the holder keys
     //    are unchanged — only the shares were refreshed).
     if (agents_.contains(user_id)) {
-      auto st = login_default(user_id);
-      if (!st.ok()) st = login_with_external(user_id);
-      if (!st.ok()) return Error{st.error()};
+      if (auto st = relogin(user_id); !st.ok()) return Error{st.error()};
     }
     out.rotation_us = static_cast<sim::SimClock::Micros>(clock_->now_us() - rot_start);
     return out;
@@ -722,9 +725,7 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     for (auto& [user_id, agent] : agents_) {
       agent->set_membership_epoch(epoch);
       if (agent->logged_in()) agent->logout();
-      auto st = login_default(user_id);
-      if (!st.ok()) st = login_with_external(user_id);
-      if (!st.ok()) return Error{st.error()};
+      if (auto st = relogin(user_id); !st.ok()) return Error{st.error()};
     }
     pending_reconfig_ = {};
     out.duration_us = static_cast<sim::SimClock::Micros>(clock_->now_us() - t0);

@@ -113,6 +113,7 @@ class Deployment {
   /// Re-login helpers (the agent is logged in by add_user already).
   Status login_default(const std::string& user_id);        // device + coord
   Status login_with_external(const std::string& user_id);  // external + coord
+  Status relogin(const std::string& user_id);  // default, else external
 
   /// Admin tokens, one per cloud.
   std::vector<cloud::AccessToken> admin_tokens();

@@ -451,8 +451,7 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
     // after the crash point above (whose hang is the eviction window),
     // before the inode moves.
     auto fence = read_fence_epoch(*coordination_, job.path);
-    r.pipeline += fence.delay;  // serialized after the upload
-    span.charge_child(static_cast<std::uint64_t>(fence.delay));
+    r.pipeline += fence.delay;  // serialized after the upload; charged below
     if (!fence.value.ok()) {
       // Fail closed: without a quorum read of the lease we cannot prove the
       // epoch still admits this writer, and the inode commit needs the

@@ -23,7 +23,7 @@
 #include "cache/writeback.h"
 #include "obs/metrics.h"
 #include "rockfs/deployment.h"
-#include "rockfs/multiclient.h"
+#include "rockfs/soak.h"
 
 namespace rockfs::core {
 namespace {
@@ -413,6 +413,8 @@ TEST(CacheSoak, WriteBackSoakConvergesDeterministically) {
 
   auto again = run_multiclient_soak(opt);
   EXPECT_EQ(first.digest, again.digest);
+  EXPECT_EQ(first.digest,
+            "eb2b3af4d16d48cc5aa31fb359f059792d4bc4d8bb1d4e2da18cfde8a8cfd0af");
 
   opt.executor_threads = 8;
   auto threaded = run_multiclient_soak(opt);

@@ -24,7 +24,7 @@
 #include "depsky/health.h"
 #include "rockfs/attack.h"
 #include "rockfs/deployment.h"
-#include "rockfs/malicious.h"
+#include "rockfs/soak.h"
 #include "sim/faults.h"
 
 namespace rockfs::depsky {
@@ -250,11 +250,27 @@ TEST(CloudRollbackAttack, ReplayWindowServingIsDetected) {
   EXPECT_EQ(dep.quarantined_cloud(), 1u);
 }
 
+// Full-report digests (every counter, sim time and honest content) of the
+// attacked and attacker-off runs per seed; any behaviour change moves them.
+struct PinnedSoak {
+  std::uint64_t seed;
+  const char* attacked;
+  const char* baseline;
+};
+constexpr PinnedSoak kPinnedMalicious[] = {
+    {2018, "8f8717bec34587c2dd9f722b34d13904cd8d6f6f7f3734b2cd49ab33284b501f",
+     "09aed623b38decd5a1b7d3f7fa789343ace3b998f43fc0adb1dd2df58ec5cf55"},
+    {2019, "e20dc3c92555d3186bd020f8ab7f8c94b767eb0ccaa85e3959519040e30cc8e3",
+     "e59b426e1aa409d1c9334e818ebf67624552dcb4757c24d0dfe54ce677f17ce1"},
+    {2020, "854e98144bcef6f592644919812b4409ab1f06c1b1ead22d3fef5948be3c9ef0",
+     "bfc29030108bc3d099c6747c25ad0f4fc07f7edc6009ebb658bb8bf5ecb63faf"},
+};
+
 // The end-to-end property from the issue: a cloud turns malicious
 // mid-workload, is detected, quarantined and replaced — and the honest
 // users' final contents are bit-identical to a run where it never turned.
 TEST(MaliciousSoak, ConvergesWithDigestEquivalenceAcrossSeeds) {
-  for (std::uint64_t seed : {2018u, 2019u, 2020u}) {
+  for (const auto& [seed, attacked_digest, baseline_digest] : kPinnedMalicious) {
     MaliciousSoakOptions attacked_opts;
     attacked_opts.seed = seed;
     auto attacked = run_malicious_soak(attacked_opts);
@@ -281,6 +297,8 @@ TEST(MaliciousSoak, ConvergesWithDigestEquivalenceAcrossSeeds) {
     EXPECT_TRUE(baseline.converged) << "seed " << seed;
     EXPECT_FALSE(baseline.quarantined) << "seed " << seed;
     EXPECT_EQ(attacked.honest_digest, baseline.honest_digest) << "seed " << seed;
+    EXPECT_EQ(attacked.digest, attacked_digest) << "seed " << seed;
+    EXPECT_EQ(baseline.digest, baseline_digest) << "seed " << seed;
   }
 }
 
@@ -294,9 +312,15 @@ TEST(MaliciousSoak, EquivocatingCloudIsAlsoEvicted) {
   EXPECT_TRUE(report.reconfigured);
   EXPECT_EQ(report.post_reconfig_read_failures, 0u);
 
+  EXPECT_EQ(report.digest,
+            "ef33be194b04f22dcf37cca814ccb3f8816637c25647f8b1b728e476a70be51c");
+
   MaliciousSoakOptions baseline = opts;
   baseline.attacker = false;
-  EXPECT_EQ(run_malicious_soak(baseline).honest_digest, report.honest_digest);
+  const auto calm = run_malicious_soak(baseline);
+  EXPECT_EQ(calm.honest_digest, report.honest_digest);
+  EXPECT_EQ(calm.digest,
+            "ffa135fad094fec7b3cd39266a3a8c936a8d1a93e55f780428d49f5c7039476c");
 }
 
 }  // namespace

@@ -11,19 +11,20 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "rockfs/deployment.h"
 #include "rockfs/journal.h"
-#include "rockfs/multiclient.h"
+#include "rockfs/soak.h"
 #include "scfs/lease.h"
 #include "sim/faults.h"
 
 namespace rockfs::core {
 namespace {
 
-constexpr std::int64_t kTtl = 5'000'000;  // 5 virtual seconds
+constexpr std::int64_t kTtl = kSoakLeaseTtlUs;  // 5 virtual seconds
 
 DeploymentOptions blocking_opts(std::uint64_t seed = 2018) {
   DeploymentOptions opts;
@@ -208,19 +209,23 @@ TEST(SharedRecovery, CompromisedOwnChainStillAbortsByDefault) {
 // ------------------------------------------------------------- chaos soak
 
 TEST(MultiClientSoak, ConvergesDeterministicallyPerSeed) {
+  // Full-report digests per seed; any behaviour change moves them.
+  const std::pair<std::uint64_t, const char*> pinned[] = {
+      {7, "623be4be3f73c2f291d8309d4ac2d58939c39783f921aa6c1cbccc1fccee368e"},
+      {21, "776f3e0c042fc85e5ad23f119e4a845c5f97f3ffe3d2c004cef2bb17cc76fd32"},
+      {2018, "8441543ffb50c9b9ef5abeb8411c07524257d5c96b011e1a6594e9cc673d8da9"},
+  };
   std::size_t total_fenced = 0;
   std::size_t total_crashed = 0;
   std::size_t total_evictions = 0;
-  for (std::uint64_t seed : {7u, 21u, 2018u}) {
+  for (const auto& [seed, digest] : pinned) {
     MultiClientOptions options;
     options.seed = seed;
-    options.agents = 3;
-    options.paths = 2;
     options.rounds = 24;
-    options.lease_ttl_us = kTtl;
     const auto first = run_multiclient_soak(options);
     const auto second = run_multiclient_soak(options);
     EXPECT_EQ(first.digest, second.digest) << "seed " << seed << " not deterministic";
+    EXPECT_EQ(first.digest, digest) << "seed " << seed;
 
     EXPECT_TRUE(first.converged()) << "seed " << seed;
     EXPECT_EQ(first.lost_updates, 0u) << "seed " << seed;
@@ -244,16 +249,15 @@ TEST(MultiClientSoak, ConvergesDeterministicallyPerSeed) {
 TEST(MultiClientSoak, SurvivesByzantineCoordinationReplica) {
   MultiClientOptions options;
   options.seed = 11;
-  options.agents = 3;
-  options.paths = 2;
   options.rounds = 16;
-  options.lease_ttl_us = kTtl;
   options.byzantine_coord_replica = true;
   const auto report = run_multiclient_soak(options);
   EXPECT_TRUE(report.converged());
   EXPECT_GT(report.writes_committed, 0u);
   EXPECT_LE(report.max_blocked_us,
             static_cast<sim::SimClock::Micros>(kTtl + kTtl / 2));
+  EXPECT_EQ(report.digest,
+            "a444f36917525f729c0478ae7529653cd95ec8ef9f5757bcf04b8010e3ee4010");
 }
 
 }  // namespace

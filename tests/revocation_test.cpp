@@ -13,9 +13,9 @@
 
 #include "rockfs/attack.h"
 #include "rockfs/audit.h"
-#include "rockfs/compromise.h"
 #include "rockfs/deployment.h"
 #include "rockfs/revocation.h"
+#include "rockfs/soak.h"
 #include "sim/faults.h"
 
 namespace rockfs::core {
@@ -476,8 +476,24 @@ TEST(Revocation, AuditVerdictDrivesTheResponse) {
 
 // ---- chaos soak: lockout + no lost honest update, under faults ----
 
+// Full-report digests (every counter, sim time and honest content) of the
+// attacked and attacker-off runs per seed; any behaviour change moves them.
+struct PinnedSoak {
+  std::uint64_t seed;
+  const char* attacked;
+  const char* baseline;
+};
+constexpr PinnedSoak kPinnedCompromise[] = {
+    {11, "3f4f3b60336b531bc929ab982374e11203c65cf3604a553a9c05076a56644e12",
+     "e1dfda3064459ef1ec98f584ad06c8ec76e31fb929877222d8d1bf060457d7cd"},
+    {23, "2c37a6812b1db6c8567858b9d7adeb4e3b0df4c9917b04c4ceae67e32b5093be",
+     "b712108d5b0c1e82e705c024dd9226045e343cdb7897554a18142a49d42a518b"},
+    {47, "bb4624e94f947cc2359f04dc786c1d9f30dd7f2e40603e37ca81cfa1cd226b68",
+     "b12f28ee0ec5753ba36ac20465b57fef6b1df86c096b817ca3e882bc7ab7eeaa"},
+};
+
 TEST(Revocation, SoakLockoutHoldsAndHonestContentConverges) {
-  for (const std::uint64_t seed : {11u, 23u, 47u}) {
+  for (const auto& [seed, attacked_digest, baseline_digest] : kPinnedCompromise) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     CompromiseSoakOptions opts;
     opts.rounds = 8;
@@ -503,6 +519,8 @@ TEST(Revocation, SoakLockoutHoldsAndHonestContentConverges) {
     // The attacker raced revocation the whole way and changed nothing about
     // the honest content.
     EXPECT_EQ(attacked.honest_digest, baseline.honest_digest);
+    EXPECT_EQ(attacked.digest, attacked_digest);
+    EXPECT_EQ(baseline.digest, baseline_digest);
   }
 }
 
@@ -521,6 +539,8 @@ TEST(Revocation, SoakSurvivesAdminCrashes) {
   EXPECT_GT(report.recovery_crashes, 0u);
   EXPECT_TRUE(report.lockout_held);
   EXPECT_TRUE(report.converged);
+  EXPECT_EQ(report.digest,
+            "c7698f49c8b654c6af1bad5264ac47c98cf18ccb2d02b5ea6c709d79e1f1bd77");
 }
 
 }  // namespace
