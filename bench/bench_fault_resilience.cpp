@@ -15,6 +15,7 @@
 
 #include "bench/bench_util.h"
 #include "depsky/client.h"
+#include "obs/metrics.h"
 
 namespace rockfs::bench {
 namespace {
@@ -46,13 +47,34 @@ struct OpStats {
   }
 };
 
+// The client's depsky.* registry counters. A level's values are the change
+// over its run: the registry keeps accumulating for the --metrics-json dump.
+struct ResilienceCounters {
+  std::uint64_t retries = 0;
+  std::uint64_t breaker_skips = 0;
+  std::uint64_t forced_probes = 0;
+  std::uint64_t deadline_hits = 0;
+
+  static ResilienceCounters now() {
+    const auto& reg = obs::metrics();
+    return {reg.counter_value("depsky.retries"), reg.counter_value("depsky.breaker.skips"),
+            reg.counter_value("depsky.forced_probes"),
+            reg.counter_value("depsky.deadline_hits")};
+  }
+  ResilienceCounters since(const ResilienceCounters& before) const {
+    return {retries - before.retries, breaker_skips - before.breaker_skips,
+            forced_probes - before.forced_probes, deadline_hits - before.deadline_hits};
+  }
+};
+
 struct LevelResult {
   OpStats writes;
   OpStats reads;
-  depsky::DepSkyClient::ResilienceStats stats;
+  ResilienceCounters stats;
 };
 
 LevelResult run_level(const Level& level, int ops, std::uint64_t seed) {
+  const auto before = ResilienceCounters::now();
   auto clock = std::make_shared<sim::SimClock>();
   auto clouds = cloud::make_provider_fleet(clock, 4, seed);
   crypto::Drbg drbg{to_bytes("bench-resilience-" + std::to_string(seed))};
@@ -114,7 +136,7 @@ LevelResult run_level(const Level& level, int ops, std::uint64_t seed) {
       result.reads.latencies_ms.push_back(static_cast<double>(r.delay) / 1e3);
     }
   }
-  result.stats = client.resilience_stats();
+  result.stats = ResilienceCounters::now().since(before);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "crypto/aes.h"
@@ -134,30 +135,66 @@ std::vector<std::size_t> DepSkyClient::contact_set() {
   // an (n-f) quorum unreachable, conscript them as forced probes so the
   // breaker can never cause a failure that would not otherwise happen.
   const std::size_t quorum = n() - f();
-  std::size_t probes = 0;
   for (std::size_t j = 0; allowed.size() < quorum && j < open.size(); ++j) {
     allowed.push_back(open[j]);
-    ++probes;
     obs_.forced_probes->add();
-  }
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.forced_probes += probes;
-    stats_.breaker_skips += n() - allowed.size();
   }
   obs_.breaker_skips->add(n() - allowed.size());
   std::sort(allowed.begin(), allowed.end());
   return allowed;
 }
 
+template <typename Probe, typename Ok, typename Ingest>
+DepSkyClient::RoundTally DepSkyClient::quorum_round(std::size_t goal, Probe&& probe, Ok&& ok,
+                                                    Ingest&& ingest) {
+  using Result = std::invoke_result_t<Probe&, std::size_t, std::uint64_t,
+                                      const common::CancelToken&>;
+  const auto contacted = contact_set();
+  // Jitter seeds pre-drawn in contact order: the stream consumed is the same
+  // whether the branches then run inline or on N pool threads.
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(contacted.size());
+  for (std::size_t j = 0; j < contacted.size(); ++j) {
+    seeds.push_back(backoff_rng_.next_u64());
+  }
+  auto round = fan_out<Result>(
+      config_.executor.get(), config_.join_mode, contacted.size(), goal,
+      [&](std::size_t j, const common::CancelToken& cancel) {
+        return probe(contacted[j], seeds[j], cancel);
+      },
+      ok);
+  RoundTally tally;
+  const auto take = [&](std::size_t i, Result&& result) {
+    tally.delays.push_back(result.delay);
+    if (ok(result)) ++tally.ok;
+    ingest(i, std::move(result));
+  };
+  // Ingest in ascending contact order, counting only included branches — a
+  // straggler landing after a first-quorum freeze contributes nothing (the
+  // double-count property test's invariant).
+  for (std::size_t j = 0; j < contacted.size(); ++j) {
+    if (!round.included[j] || !round.results[j].has_value()) continue;
+    take(contacted[j], std::move(*round.results[j]));
+  }
+  // Degraded fallback round over breaker-skipped clouds if the goal is still
+  // short (their completion times start after round one resolves).
+  if (tally.ok < goal && contacted.size() < n()) {
+    const auto round1 = sim::parallel_delay(tally.delays);
+    const common::CancelToken no_cancel;
+    for (std::size_t i = 0; i < n(); ++i) {
+      if (std::find(contacted.begin(), contacted.end(), i) != contacted.end()) continue;
+      if (health_[i]->quarantined()) continue;
+      obs_.forced_probes->add();
+      auto result = probe(i, backoff_rng_.next_u64(), no_cancel);
+      result.delay += round1;
+      take(i, std::move(result));
+    }
+  }
+  return tally;
+}
+
 void DepSkyClient::record_outcome(std::size_t cloud, const RetryOutcome& outcome,
                                   ErrorCode final) {
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.attempts += static_cast<std::uint64_t>(outcome.attempts);
-    stats_.retries += static_cast<std::uint64_t>(outcome.attempts - 1);
-    if (outcome.deadline_exhausted) ++stats_.deadline_hits;
-  }
   obs_.attempts->add(static_cast<std::uint64_t>(outcome.attempts));
   obs_.retries->add(static_cast<std::uint64_t>(outcome.attempts - 1));
   if (outcome.deadline_exhausted) obs_.deadline_hits->add();
@@ -234,69 +271,28 @@ DepSkyClient::QuorumPutResult DepSkyClient::quorum_put(
   const bool data_phase = std::string_view(phase) == "data";
   QuorumPutResult result;
   result.acked.assign(n(), false);
-  std::vector<sim::SimClock::Micros> delays;
   std::vector<std::pair<std::size_t, ErrorCode>> failures;
-  const auto push = [&](std::size_t i, sim::Timed<Status>&& put) {
-    delays.push_back(put.delay);
-    if (put.value.ok()) {
-      ++result.acks;
-      result.acked[i] = true;
-      if (data_phase) {
-        // Acked data puts feed the byte-conservation invariant checked by
-        // the property tests: sum(bytes) == blob size x sum(acks).
-        obs_.put_data_bytes[i]->add(blobs[i].size());
-        obs_.put_data_acks[i]->add();
-      }
-    } else {
-      failures.emplace_back(i, put.value.code());
-    }
-  };
-
-  const std::size_t quorum = n() - f();
-  const auto contacted = contact_set();
-  // Jitter seeds pre-drawn in contact order: the stream consumed is the same
-  // whether the branches then run inline or on N pool threads.
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(contacted.size());
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    seeds.push_back(backoff_rng_.next_u64());
-  }
-  auto round = fan_out<sim::Timed<Status>>(
-      config_.executor.get(), config_.join_mode, contacted.size(), quorum,
-      [&](std::size_t j, const common::CancelToken& cancel) {
-        const std::size_t i = contacted[j];
-        return guarded_put(i, tokens[i], keys[i], blobs[i], seeds[j], cancel);
+  const auto round = quorum_round(
+      n() - f(),
+      [&](std::size_t i, std::uint64_t seed, const common::CancelToken& cancel) {
+        return guarded_put(i, tokens[i], keys[i], blobs[i], seed, cancel);
       },
-      [](const sim::Timed<Status>& put) { return put.value.ok(); });
-  // Ingest in ascending contact order, counting only included branches — a
-  // straggler landing after a first-quorum freeze contributes neither acks
-  // nor put.data.{bytes,acks} (the double-count property test's invariant).
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    if (!round.included[j] || !round.results[j].has_value()) continue;
-    push(contacted[j], std::move(*round.results[j]));
-  }
-  // Degraded fallback round over breaker-skipped clouds if the quorum is
-  // still short (their completion times start after round one resolves).
-  if (result.acks < quorum && contacted.size() < n()) {
-    const auto round1 = sim::parallel_delay(delays);
-    const common::CancelToken no_cancel;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (std::find(contacted.begin(), contacted.end(), i) != contacted.end()) continue;
-      if (health_[i]->quarantined()) continue;
-      auto put = guarded_put(i, tokens[i], keys[i], blobs[i],
-                             backoff_rng_.next_u64(), no_cancel);
-      put.delay += round1;
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++stats_.forced_probes;
-      }
-      obs_.forced_probes->add();
-      push(i, std::move(put));
-    }
-  }
-
-  result.delay = delays.size() >= n() - f() ? sim::quorum_delay(delays, n() - f())
-                                            : sim::parallel_delay(delays);
+      [](const sim::Timed<Status>& put) { return put.value.ok(); },
+      [&](std::size_t i, sim::Timed<Status>&& put) {
+        if (!put.value.ok()) {
+          failures.emplace_back(i, put.value.code());
+          return;
+        }
+        result.acked[i] = true;
+        if (data_phase) {
+          // Acked data puts feed the byte-conservation invariant checked by
+          // the property tests: sum(bytes) == blob size x sum(acks).
+          obs_.put_data_bytes[i]->add(blobs[i].size());
+          obs_.put_data_acks[i]->add();
+        }
+      });
+  result.acks = round.ok;
+  result.delay = sim::quorum_delay(round.delays, n() - f());
   group.set_duration(static_cast<std::uint64_t>(result.delay));
   std::sort(failures.begin(), failures.end());
   for (const auto& [i, code] : failures) {
@@ -333,13 +329,9 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
     bool responded = false;  // found or definitive not-found
     std::optional<UnitMetadata> meta;
   };
-  std::vector<sim::SimClock::Micros> delays;
   UnitMetadata best;
   bool found = false;
-  std::size_t responses = 0;
   const auto ingest = [&](std::size_t i, MetaProbe&& probe) {
-    delays.push_back(probe.delay);
-    if (probe.responded) ++responses;
     if (probe.meta) {
       // Freshness check against the witness: a cloud answering below its own
       // provable mark is lying (an honest cloud that merely missed a write
@@ -384,47 +376,12 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
     return probe;
   };
 
-  const std::size_t quorum = n() - f();
-  const auto contacted = contact_set();
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(contacted.size());
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    seeds.push_back(backoff_rng_.next_u64());
-  }
-  auto round = fan_out<MetaProbe>(
-      config_.executor.get(), config_.join_mode, contacted.size(), quorum,
-      [&](std::size_t j, const common::CancelToken& cancel) {
-        return probe_cloud(contacted[j], seeds[j], cancel);
-      },
-      [](const MetaProbe& probe) { return probe.responded; });
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    if (!round.included[j] || !round.results[j].has_value()) continue;
-    ingest(contacted[j], std::move(*round.results[j]));
-  }
-  // Degraded fallback: if the first round missed the quorum and the breaker
-  // held clouds back, try those too (sequenced after round one completes).
-  if (responses < quorum && contacted.size() < n()) {
-    const auto round1 = sim::parallel_delay(delays);
-    const common::CancelToken no_cancel;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (std::find(contacted.begin(), contacted.end(), i) != contacted.end()) continue;
-      if (health_[i]->quarantined()) continue;
-      auto probe = probe_cloud(i, backoff_rng_.next_u64(), no_cancel);
-      probe.delay += round1;
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++stats_.forced_probes;
-      }
-      obs_.forced_probes->add();
-      ingest(i, std::move(probe));
-    }
-  }
-
-  const auto delay = delays.size() >= n() - f()
-                         ? sim::quorum_delay(delays, n() - f())
-                         : sim::parallel_delay(delays);
+  const auto round = quorum_round(
+      n() - f(), probe_cloud, [](const MetaProbe& probe) { return probe.responded; },
+      ingest);
+  const auto delay = sim::quorum_delay(round.delays, n() - f());
   group.set_duration(static_cast<std::uint64_t>(delay));
-  if (responses < n() - f()) {
+  if (round.ok < n() - f()) {
     group.set_outcome(ErrorCode::kUnavailable);
     return {Error{ErrorCode::kUnavailable, "depsky: metadata quorum unavailable"}, delay};
   }
@@ -653,7 +610,6 @@ sim::Timed<Result<Bytes>> DepSkyClient::read_impl(
   const std::size_t needed = config_.protocol == Protocol::kA ? 1 : k();
   obs::Span group = obs::tracer().span("depsky.share_fetch", {.fanout = true});
   std::vector<ValidShare> valid;
-  std::vector<sim::SimClock::Micros> all_delays;
   const auto probe_share = [&](std::size_t i, std::uint64_t seed,
                                const common::CancelToken& cancel) {
     const std::string key = share_key(unit, meta.version, i);
@@ -670,7 +626,6 @@ sim::Timed<Result<Bytes>> DepSkyClient::read_impl(
     return probe;
   };
   const auto ingest = [&](std::size_t i, ShareProbe&& probe) {
-    all_delays.push_back(probe.delay);
     if (probe.valid) {
       valid.push_back({i, std::move(probe.blob), probe.delay});
     } else if (probe.not_found && !cold) {
@@ -685,42 +640,10 @@ sim::Timed<Result<Bytes>> DepSkyClient::read_impl(
     }
   };
 
-  const auto contacted = contact_set();
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(contacted.size());
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    seeds.push_back(backoff_rng_.next_u64());
-  }
-  auto round = fan_out<ShareProbe>(
-      config_.executor.get(), config_.join_mode, contacted.size(), needed,
-      [&](std::size_t j, const common::CancelToken& cancel) {
-        return probe_share(contacted[j], seeds[j], cancel);
-      },
-      [](const ShareProbe& probe) { return probe.valid; });
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    if (!round.included[j] || !round.results[j].has_value()) continue;
-    ingest(contacted[j], std::move(*round.results[j]));
-  }
-  // Degraded fallback: conscript breaker-skipped clouds if the healthy set
-  // could not produce the `needed` valid shares.
-  if (valid.size() < needed && contacted.size() < n()) {
-    const auto round1 = sim::parallel_delay(all_delays);
-    const common::CancelToken no_cancel;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (std::find(contacted.begin(), contacted.end(), i) != contacted.end()) continue;
-      if (health_[i]->quarantined()) continue;
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++stats_.forced_probes;
-      }
-      obs_.forced_probes->add();
-      auto probe = probe_share(i, backoff_rng_.next_u64(), no_cancel);
-      probe.delay += round1;
-      ingest(i, std::move(probe));
-    }
-  }
+  const auto round = quorum_round(
+      needed, probe_share, [](const ShareProbe& probe) { return probe.valid; }, ingest);
   if (valid.size() < needed) {
-    const auto fetch_delay = sim::parallel_delay(all_delays);
+    const auto fetch_delay = sim::parallel_delay(round.delays);
     group.set_duration(static_cast<std::uint64_t>(fetch_delay));
     group.set_outcome(ErrorCode::kUnavailable);
     group.finish();
@@ -728,7 +651,7 @@ sim::Timed<Result<Bytes>> DepSkyClient::read_impl(
     span.set_duration(static_cast<std::uint64_t>(total_delay + fetch_delay));
     span.set_outcome(ErrorCode::kUnavailable);
     return {Error{ErrorCode::kUnavailable, "depsky read: not enough valid shares"},
-            total_delay + sim::parallel_delay(all_delays)};
+            total_delay + fetch_delay};
   }
   // Completion when the `needed`-th fastest valid share arrived.
   std::vector<sim::SimClock::Micros> valid_delays;

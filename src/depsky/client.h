@@ -16,7 +16,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -180,19 +179,8 @@ class DepSkyClient {
   /// quorum is reachable without them; see health.h).
   HealthTracker& cloud_health(std::size_t i) { return *health_.at(i); }
   const HealthTracker& cloud_health(std::size_t i) const { return *health_.at(i); }
-
-  struct ResilienceStats {
-    std::uint64_t attempts = 0;        // per-cloud requests actually issued
-    std::uint64_t retries = 0;         // attempts beyond each first try
-    std::uint64_t breaker_skips = 0;   // requests not sent (breaker open)
-    std::uint64_t forced_probes = 0;   // open clouds conscripted for quorum
-    std::uint64_t deadline_hits = 0;   // retry loops stopped by the deadline
-  };
-  /// Snapshot (fan-out branches mutate the stats concurrently).
-  ResilienceStats resilience_stats() const {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    return stats_;
-  }
+  // Retry and breaker activity is counted in the metrics registry:
+  // depsky.attempts, .retries, .breaker.skips, .forced_probes, .deadline_hits.
 
   /// Size of the per-cloud blob a write of `data_size` bytes stores at each
   /// cloud: the payload itself (protocol A) or erasure shard + key share
@@ -225,10 +213,25 @@ class DepSkyClient {
   /// probes) until an (n-f) quorum is reachable. Ascending order.
   std::vector<std::size_t> contact_set();
 
+  /// What one quorum round ingested.
+  struct RoundTally {
+    std::vector<sim::SimClock::Micros> delays;  // every ingested result, in order
+    std::size_t ok = 0;                         // ingested results passing `ok`
+  };
+  /// One quorum phase, and the only caller of contact_set and of the backoff
+  /// jitter stream: `probe(i, seed, cancel)` runs on the contact set in parallel,
+  /// and the included results go to `ingest(i, result)` in ascending cloud
+  /// order. If fewer than `goal` of them pass `ok(result)` and the breaker
+  /// held clouds back, every skipped, non-quarantined cloud is probed in a
+  /// degraded fallback round that starts when round one resolves. A result
+  /// is any type with a `delay` member.
+  template <typename Probe, typename Ok, typename Ingest>
+  RoundTally quorum_round(std::size_t goal, Probe&& probe, Ok&& ok, Ingest&& ingest);
+
   /// get/put against cloud i with per-cloud retry; records the outcome in
-  /// the cloud's circuit breaker and the resilience stats. Thread-safe (fan
+  /// the cloud's circuit breaker and the depsky.* counters. Thread-safe (fan
   /// out branches call these concurrently for distinct clouds). The backoff
-  /// jitter seed is pre-drawn by the coordinator in contact order so the
+  /// jitter seed is pre-drawn by quorum_round in contact order so the
   /// stream is identical at any thread count; `cancel` interrupts the
   /// optional wall-clock latency emulation.
   sim::Timed<Result<Bytes>> guarded_get(std::size_t i, const cloud::AccessToken& token,
@@ -239,9 +242,9 @@ class DepSkyClient {
                                  std::uint64_t backoff_seed,
                                  const common::CancelToken& cancel);
 
-  /// One write quorum phase: puts keys[i]/blobs[i] at every contactable
-  /// cloud, falling back to skipped clouds if the first round misses the
-  /// (n-f) quorum. Reports per-cloud failure detail for error messages.
+  /// One write quorum phase: puts keys[i]/blobs[i] at every cloud
+  /// quorum_round reaches. Reports per-cloud failure detail for error
+  /// messages.
   struct QuorumPutResult {
     std::size_t acks = 0;
     sim::SimClock::Micros delay = 0;  // completion of the quorum (or of all tries)
@@ -279,8 +282,6 @@ class DepSkyClient {
   // vector by value.
   std::vector<std::unique_ptr<HealthTracker>> health_;  // one breaker per cloud
   Rng backoff_rng_;                    // jitter stream for retry backoff
-  mutable std::mutex stats_mu_;        // guards stats_ (branches update it)
-  ResilienceStats stats_;
   ObsHandles obs_;
 };
 

@@ -219,6 +219,15 @@ Result<LogAudit> RecoveryService::audit_chain(const std::string& chain_user,
   return audit;
 }
 
+Result<LogAudit> RecoveryService::audit_intact_log() {
+  auto audit = audit_log();
+  if (audit.ok() && (audit->report.aggregate_mismatch || audit->report.count_mismatch)) {
+    return Error{ErrorCode::kIntegrity,
+                 "recovery: log stream integrity violated (truncation or reordering)"};
+  }
+  return audit;
+}
+
 Result<FileRecovery> RecoveryService::recover_one(const LogAudit& audit,
                                                   const std::string& path,
                                                   const std::set<std::uint64_t>& malicious,
@@ -229,36 +238,44 @@ Result<FileRecovery> RecoveryService::recover_one(const LogAudit& audit,
 
   // A snapshot baseline (if one exists) replaces the archived prefix of the
   // log: recovery starts from it and replays only newer entries.
-  const SnapshotBaseline baseline =
-      use_snapshots ? load_snapshot(path, delay) : SnapshotBaseline{};
+  SnapshotBaseline baseline = use_snapshots ? load_snapshot(path, delay) : SnapshotBaseline{};
 
   // Select this file's entries in log order (rotation records live under a
   // sentinel path and carry no file data; never replay them).
+  bool logged = false;
   std::vector<const LogRecord*> entries;
   for (const auto& r : audit.records) {
-    if (r.path == path && r.op != rotation_record_op()) entries.push_back(&r);
+    if (r.path != path || r.op == rotation_record_op()) continue;
+    logged = true;
+    if (baseline.found && r.seq <= baseline.watermark) continue;  // folded in
+    if (audit.discarded_seqs.contains(r.seq)) {
+      ++result.skipped_invalid;
+    } else if (malicious.contains(r.seq)) {
+      ++result.skipped_malicious;
+    } else {
+      entries.push_back(&r);
+    }
   }
-  if (entries.empty() && !baseline.found) {
+  if (!logged && !baseline.found) {
     return Error{ErrorCode::kNotFound, "recovery: no log entries for " + path};
   }
 
-  // Step 2: batch-download all surviving data halves in parallel.
-  struct Fetched {
-    const LogRecord* record;
-    Result<diff::LogDelta> delta;
-  };
-  std::vector<Fetched> fetched;
+  if (baseline.found) ++result.applied;  // the snapshot itself
+  replay(entries, std::move(baseline.content), &result, delay);
+  if (!apply) return result;
+
+  if (auto st = commit_recovered(path, result.content, delay); !st.ok()) {
+    return Error{st.error()};
+  }
+  return result;
+}
+
+void RecoveryService::replay(const std::vector<const LogRecord*>& entries, Bytes content,
+                             FileRecovery* result, sim::SimClock::Micros* delay) {
+  // Step 2: the data halves download as one parallel batch, so the batch
+  // costs its slowest download.
   std::vector<sim::SimClock::Micros> download_delays;
   for (const LogRecord* r : entries) {
-    if (baseline.found && r->seq <= baseline.watermark) continue;  // folded in
-    if (audit.discarded_seqs.contains(r->seq)) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    if (malicious.contains(r->seq)) {
-      ++result.skipped_malicious;
-      continue;
-    }
     auto payload = storage_->read(config_.admin_tokens, r->data_unit());
     if (!payload.value.ok() && payload.value.code() == ErrorCode::kUnavailable) {
       // Shares may have been archived by a compaction whose snapshot was
@@ -266,56 +283,42 @@ Result<FileRecovery> RecoveryService::recover_one(const LogAudit& audit,
       payload = storage_->read_archived(config_.admin_tokens, r->data_unit());
     }
     download_delays.push_back(payload.delay);
-    if (!payload.value.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
     // Cross-check the data half against the MAC-verified metadata.
-    if (!ct_equal(crypto::sha256(*payload.value), r->payload_hash)) {
-      ++result.skipped_invalid;
+    if (!payload.value.ok() || !ct_equal(crypto::sha256(*payload.value), r->payload_hash)) {
+      ++result->skipped_invalid;
       continue;
     }
     auto unwrapped = unwrap_log_payload(*payload.value);
     if (!unwrapped.ok()) {
-      ++result.skipped_invalid;
+      ++result->skipped_invalid;
       continue;
     }
-    fetched.push_back({r, diff::LogDelta::deserialize(*unwrapped)});
-  }
-  *delay += sim::parallel_delay(download_delays);
+    const auto delta = diff::LogDelta::deserialize(*unwrapped);
+    if (!delta.ok()) {
+      ++result->skipped_invalid;
+      continue;
+    }
 
-  // Step 3/4: selective re-execution.
-  Bytes content = baseline.content;
-  if (baseline.found) ++result.applied;  // the snapshot itself
-  for (auto& f : fetched) {
-    if (!f.delta.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    if (f.record->op == "delete") {
+    // Step 3/4: selective re-execution.
+    if (r->op == "delete") {
       content.clear();
-      ++result.applied;
+      ++result->applied;
       continue;
     }
-    auto next = diff::apply_log_delta(content, *f.delta);
-    *delay += patch_cost(content.size() + f.delta->payload.size());
+    auto next = diff::apply_log_delta(content, *delta);
+    *delay += patch_cost(content.size() + delta->payload.size());
     if (!next.ok()) {
       // A delta that no longer applies (its base included a skipped
       // malicious write). Whole-file entries always apply; for deltas we
       // must drop the entry, as the paper's selective re-execution does.
-      ++result.skipped_invalid;
+      ++result->skipped_invalid;
       continue;
     }
     content = std::move(*next);
-    ++result.applied;
+    ++result->applied;
   }
-  result.content = std::move(content);
-  if (!apply) return result;
-
-  if (auto st = commit_recovered(path, result.content, delay); !st.ok()) {
-    return Error{st.error()};
-  }
-  return result;
+  *delay += sim::parallel_delay(download_delays);
+  result->content = std::move(content);
 }
 
 Status RecoveryService::commit_recovered(const std::string& path, const Bytes& content,
@@ -355,12 +358,8 @@ Result<FileRecovery> RecoveryService::recover_file(const std::string& path,
   obs::Span span = obs::tracer().span("recovery.recover_file");
   span.set_label(path);
   const auto start = clock_->now_us();
-  auto audit = audit_log();
+  auto audit = audit_intact_log();
   if (!audit.ok()) return Error{audit.error()};
-  if (audit->report.aggregate_mismatch || audit->report.count_mismatch) {
-    return Error{ErrorCode::kIntegrity,
-                 "recovery: log stream integrity violated (truncation or reordering)"};
-  }
   sim::SimClock::Micros delay = 0;
   auto result = recover_one(*audit, path, malicious, &delay);
   clock_->advance_us(delay);
@@ -377,12 +376,8 @@ Result<FileRecovery> RecoveryService::recover_file_at(const std::string& path,
   obs::Span span = obs::tracer().span("recovery.recover_file_at");
   span.set_label(path);
   const auto start = clock_->now_us();
-  auto audit = audit_log();
+  auto audit = audit_intact_log();
   if (!audit.ok()) return Error{audit.error()};
-  if (audit->report.aggregate_mismatch || audit->report.count_mismatch) {
-    return Error{ErrorCode::kIntegrity,
-                 "recovery: log stream integrity violated (truncation or reordering)"};
-  }
   // Everything after the cut-off is treated exactly like a malicious entry:
   // skipped during selective re-execution.
   std::set<std::uint64_t> after_cutoff;
@@ -483,53 +478,7 @@ Result<FileRecovery> RecoveryService::recover_shared_file(
   // delta on an unlogged base: each honest run either extends its own
   // previous entry or restarts from a whole file.
   sim::SimClock::Micros delay = 0;
-  struct Fetched {
-    const LogRecord* record;
-    Result<diff::LogDelta> delta;
-  };
-  std::vector<Fetched> fetched;
-  std::vector<sim::SimClock::Micros> download_delays;
-  for (const LogRecord* r : merged) {
-    auto payload = storage_->read(config_.admin_tokens, r->data_unit());
-    if (!payload.value.ok() && payload.value.code() == ErrorCode::kUnavailable) {
-      payload = storage_->read_archived(config_.admin_tokens, r->data_unit());
-    }
-    download_delays.push_back(payload.delay);
-    if (!payload.value.ok() ||
-        !ct_equal(crypto::sha256(*payload.value), r->payload_hash)) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    auto unwrapped = unwrap_log_payload(*payload.value);
-    if (!unwrapped.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    fetched.push_back({r, diff::LogDelta::deserialize(*unwrapped)});
-  }
-  delay += sim::parallel_delay(download_delays);
-
-  Bytes content;
-  for (auto& f : fetched) {
-    if (!f.delta.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    if (f.record->op == "delete") {
-      content.clear();
-      ++result.applied;
-      continue;
-    }
-    auto next = diff::apply_log_delta(content, *f.delta);
-    delay += patch_cost(content.size() + f.delta->payload.size());
-    if (!next.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    content = std::move(*next);
-    ++result.applied;
-  }
-  result.content = std::move(content);
+  replay(merged, {}, &result, &delay);
 
   if (auto st = commit_recovered(path, result.content, &delay); !st.ok()) {
     // The downloads and patching above still took simulated time; a failed
@@ -621,12 +570,8 @@ Result<std::vector<FileRecovery>> RecoveryService::recover_all(
     const std::set<std::uint64_t>& malicious, const std::vector<std::string>& priority) {
   obs::Span span = obs::tracer().span("recovery.recover_all");
   const auto start = clock_->now_us();
-  auto audit = audit_log();
+  auto audit = audit_intact_log();
   if (!audit.ok()) return Error{audit.error()};
-  if (audit->report.aggregate_mismatch || audit->report.count_mismatch) {
-    return Error{ErrorCode::kIntegrity,
-                 "recovery: log stream integrity violated (truncation or reordering)"};
-  }
 
   sim::SimClock::Micros delay = 0;
 

@@ -161,6 +161,9 @@ class RecoveryService {
     bool found = false;
   };
   SnapshotBaseline load_snapshot(const std::string& path, sim::SimClock::Micros* delay);
+  /// audit_log(), failing with kIntegrity when the stream was truncated or
+  /// reordered.
+  Result<LogAudit> audit_intact_log();
   /// Shared machinery: recovers one file given an already-audited log. When
   /// `apply` is false the content is only reconstructed (used by
   /// compact_file), without re-uploading or logging a recovery record.
@@ -171,6 +174,13 @@ class RecoveryService {
                                    const std::set<std::uint64_t>& malicious,
                                    sim::SimClock::Micros* delay, bool apply = true,
                                    bool use_snapshots = true);
+  /// Steps 2-4, shared by every recovery path: downloads the data halves of
+  /// `entries` (falling back to cold storage), drops any whose digest
+  /// disagrees with the verified metadata, and re-executes the survivors in
+  /// order on top of `content`. Fills result->content, ->applied and
+  /// ->skipped_invalid; charges the time to *delay.
+  void replay(const std::vector<const LogRecord*>& entries, Bytes content,
+              FileRecovery* result, sim::SimClock::Micros* delay);
   /// Step 5 (shared with recover_shared_file): upload the recovered content,
   /// bump the inode (stamping the path's current fence epoch) and log the
   /// recovery on the admin chain.

@@ -427,6 +427,7 @@ struct DepSkyResilienceTest : ::testing::Test {
 
 TEST_F(DepSkyResilienceTest, RetriesMaskATransientBlip) {
   auto client = make_client();
+  obs::metrics().reset();
   // ~55% per-op transient failures on one cloud: a single try often fails,
   // but four attempts almost never all fail — and even if they did, the
   // other three clouds still form a quorum.
@@ -436,7 +437,7 @@ TEST_F(DepSkyResilienceTest, RetriesMaskATransientBlip) {
   auto r = client.read(tokens, "files/f");
   ASSERT_TRUE(r.value.ok());
   EXPECT_EQ(*r.value, data);
-  EXPECT_GT(client.resilience_stats().retries, 0u);
+  EXPECT_GT(obs::metrics().counter_value("depsky.retries"), 0u);
 }
 
 TEST_F(DepSkyResilienceTest, BreakerOpensOnDeadCloudThenSkipsIt) {
@@ -447,10 +448,10 @@ TEST_F(DepSkyResilienceTest, BreakerOpensOnDeadCloudThenSkipsIt) {
   // trip its breaker (threshold 3) within the first write.
   ASSERT_TRUE(client.write(tokens, "files/f", to_bytes("v1")).value.ok());
   EXPECT_EQ(client.cloud_health(2).state(), depsky::HealthTracker::State::kOpen);
-  const auto skips_before = client.resilience_stats().breaker_skips;
+  const auto skips_before = obs::metrics().counter_value("depsky.breaker.skips");
   // Later operations fail fast: cloud 2 is skipped, no retries burned on it.
   ASSERT_TRUE(client.write(tokens, "files/f", to_bytes("v2")).value.ok());
-  EXPECT_GT(client.resilience_stats().breaker_skips, skips_before);
+  EXPECT_GT(obs::metrics().counter_value("depsky.breaker.skips"), skips_before);
   auto r = client.read(tokens, "files/f");
   ASSERT_TRUE(r.value.ok());
   EXPECT_EQ(to_string(*r.value), "v2");
@@ -458,6 +459,7 @@ TEST_F(DepSkyResilienceTest, BreakerOpensOnDeadCloudThenSkipsIt) {
 
 TEST_F(DepSkyResilienceTest, ForcedProbesKeepQuorumsReachable) {
   auto client = make_client();
+  obs::metrics().reset();
   // Open cloud 2's breaker while it is down...
   clouds[2]->set_available(false);
   ASSERT_TRUE(client.write(tokens, "files/f", to_bytes("data")).value.ok());
@@ -470,7 +472,12 @@ TEST_F(DepSkyResilienceTest, ForcedProbesKeepQuorumsReachable) {
   auto r = client.read(tokens, "files/f");
   ASSERT_TRUE(r.value.ok()) << r.value.error().message;
   EXPECT_EQ(to_string(*r.value), "data");
-  EXPECT_GT(client.resilience_stats().forced_probes, 0u);
+  // This read drives the degraded fallback round: cloud 0 fails inside the
+  // contact set and cloud 2 is conscripted after it. Its virtual delay and
+  // probe count are recorded values; re-record them only for an intended
+  // behaviour change.
+  EXPECT_EQ(r.delay, 958074);
+  EXPECT_EQ(obs::metrics().counter_value("depsky.forced_probes"), 1u);
 }
 
 TEST_F(DepSkyResilienceTest, SuccessfulForcedProbesHealTheBreaker) {
@@ -501,10 +508,9 @@ TEST_F(DepSkyResilienceTest, WriteFailureNamesTheFailingClouds) {
 
 // -------------------------------------------------- metrics cross-checks
 //
-// The client mirrors its resilience bookkeeping into the global metrics
-// registry; these tests pin the two views together. The registry is global
-// and cumulative, so each test zeroes it right after building its client
-// (instrument handles stay valid across reset()).
+// The registry's breaker counters must agree with the breakers' own state.
+// The registry is global and cumulative, so the test zeroes it right after
+// building its client (instrument handles stay valid across reset()).
 
 TEST_F(DepSkyResilienceTest, RegistryMirrorsBreakerOpens) {
   auto client = make_client();
@@ -518,35 +524,6 @@ TEST_F(DepSkyResilienceTest, RegistryMirrorsBreakerOpens) {
   EXPECT_EQ(obs::metrics().counter_value("depsky.breaker.opened{cloud-0}"), 0u);
 }
 
-TEST_F(DepSkyResilienceTest, RegistryMirrorsRetryCounts) {
-  auto client = make_client();
-  obs::metrics().reset();
-  clouds[1]->faults().set_transient_error_prob(0.55);
-  ASSERT_TRUE(client.write(tokens, "files/f", to_bytes("retry me")).value.ok());
-  ASSERT_TRUE(client.read(tokens, "files/f").value.ok());
-  const auto stats = client.resilience_stats();
-  EXPECT_GT(stats.retries, 0u);
-  EXPECT_EQ(obs::metrics().counter_value("depsky.retries"), stats.retries);
-}
-
-TEST_F(DepSkyResilienceTest, RegistryMirrorsSkipsAndForcedProbes) {
-  auto client = make_client();
-  obs::metrics().reset();
-  // Open cloud 2's breaker, then make it the only path to a quorum: the
-  // client both skips it (while others suffice) and later conscripts it.
-  clouds[2]->set_available(false);
-  ASSERT_TRUE(client.write(tokens, "files/f", to_bytes("data")).value.ok());
-  ASSERT_TRUE(client.write(tokens, "files/f", to_bytes("data2")).value.ok());
-  clouds[2]->set_available(true);
-  clouds[0]->set_available(false);
-  ASSERT_TRUE(client.read(tokens, "files/f").value.ok());
-  const auto stats = client.resilience_stats();
-  EXPECT_GT(stats.breaker_skips, 0u);
-  EXPECT_GT(stats.forced_probes, 0u);
-  EXPECT_EQ(obs::metrics().counter_value("depsky.breaker.skips"), stats.breaker_skips);
-  EXPECT_EQ(obs::metrics().counter_value("depsky.forced_probes"), stats.forced_probes);
-}
-
 TEST_F(DepSkyResilienceTest, DeadlineBoundsTimePerOperation) {
   depsky::DepSkyConfig cfg;
   cfg.clouds = clouds;
@@ -555,9 +532,10 @@ TEST_F(DepSkyResilienceTest, DeadlineBoundsTimePerOperation) {
   cfg.writer = writer;
   cfg.retry.deadline_us = 200'000;  // tight budget
   auto client = depsky::DepSkyClient(std::move(cfg), to_bytes("seed"));
+  obs::metrics().reset();
   clouds[3]->faults().set_transient_error_prob(1.0);
   ASSERT_TRUE(client.write(tokens, "files/f", to_bytes("data")).value.ok());
-  EXPECT_GT(client.resilience_stats().deadline_hits, 0u);
+  EXPECT_GT(obs::metrics().counter_value("depsky.deadline_hits"), 0u);
 }
 
 // ------------------------------------- leases under coordination faults

@@ -1,14 +1,18 @@
 // Golden-trace determinism: the whole observability pipeline (metrics
 // registry + span tracer) is driven purely by simulated state, so replaying
 // the same seeded workload must produce byte-identical JSON dumps, while a
-// different seed must not. Also checks the exclusive-time reconciliation
-// contract on a real close() measured through the full stack.
+// different seed must not. The dumps of seeds 2018 and 4242 are pinned to
+// recorded sha256 digests, so a change that moves any span, delay or counter
+// fails here even if it stays deterministic. Also checks the exclusive-time
+// reconciliation contract on a real close() measured through the full stack.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
+#include "common/hex.h"
 #include "common/rng.h"
+#include "crypto/sha256.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rockfs/deployment.h"
@@ -59,11 +63,31 @@ TraceDump run_workload(std::uint64_t seed) {
   return {obs::tracer().to_json(), obs::metrics().to_json()};
 }
 
+std::string sha256_hex(const std::string& dump) {
+  return hex_encode(crypto::sha256(to_bytes(dump)));
+}
+
+// Recorded digests of the two seeds' dumps. Re-record them only for an
+// intended behaviour change. The metrics digests depend on test order:
+// reset() zeroes the registry but keeps every key registered earlier in the
+// process, so each dump also lists the keys of the tests that ran before it.
+// They hold for the whole binary run in declaration order (as ctest runs it).
+constexpr const char* kTrace2018 =
+    "1de3762184303af9c47a6a3426e2eb4f896ea83d429c782313a4e0d9f51de815";
+constexpr const char* kMetrics2018 =
+    "140d6ad7ed4f709a8522be95a6306cf0582d350e51f7f2620c9ebe0ffbca6769";
+constexpr const char* kTrace4242 =
+    "df70dcef4dd7f95f7dd984e6ac2f286f2b8767e5748bc531ee97e2894d370c56";
+constexpr const char* kMetrics4242 =
+    "badb4954caafcb591a51f62bad9dc892c0f4c2380c04df0c65fa57945da49dee";
+
 TEST(TraceReplay, SameSeedIsByteIdentical) {
   const TraceDump a = run_workload(2018);
   const TraceDump b = run_workload(2018);
   EXPECT_EQ(a.trace_json, b.trace_json);
   EXPECT_EQ(a.metrics_json, b.metrics_json);
+  EXPECT_EQ(sha256_hex(a.trace_json), kTrace2018);
+  EXPECT_EQ(sha256_hex(a.metrics_json), kMetrics2018);
 }
 
 TEST(TraceReplay, DifferentSeedsDiverge) {
@@ -72,6 +96,8 @@ TEST(TraceReplay, DifferentSeedsDiverge) {
   // Different fault draws and payloads must leave different fingerprints.
   EXPECT_NE(a.trace_json, b.trace_json);
   EXPECT_NE(a.metrics_json, b.metrics_json);
+  EXPECT_EQ(sha256_hex(b.trace_json), kTrace4242);
+  EXPECT_EQ(sha256_hex(b.metrics_json), kMetrics4242);
 }
 
 TEST(TraceReplay, DumpContainsTheExpectedSpanVocabulary) {
