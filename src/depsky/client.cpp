@@ -97,7 +97,7 @@ DepSkyClient::DepSkyClient(DepSkyConfig config, BytesView drbg_seed)
   health_.reserve(config_.clouds.size());
   for (const auto& cloud : config_.clouds) {
     health_.push_back(
-        std::make_unique<HealthTracker>(cloud->clock(), config_.health, cloud->name()));
+        std::make_unique<HealthTracker>(cloud->clock(), HealthOptions{}, cloud->name()));
   }
   auto& reg = obs::metrics();
   obs_.attempts = &reg.counter("depsky.attempts");
@@ -314,6 +314,20 @@ std::string DepSkyClient::metadata_key(const std::string& unit) { return unit + 
 std::string DepSkyClient::share_key(const std::string& unit, std::uint64_t version,
                                     std::size_t cloud_index) {
   return unit + ".v" + std::to_string(version) + ".s" + std::to_string(cloud_index);
+}
+
+std::optional<std::string> DepSkyClient::unit_of_key(std::string_view key) {
+  if (key.ends_with(".meta")) return std::string(key.substr(0, key.size() - 5));
+  // A share key: <unit>.v<digits>.s<digits>.
+  const auto digits = [&](std::size_t from, std::size_t to) {
+    return from < to && key.find_first_not_of("0123456789", from) >= to;
+  };
+  const auto s = key.rfind(".s");
+  const auto v = s == std::string_view::npos ? s : key.rfind(".v", s);
+  if (v == std::string_view::npos || !digits(v + 2, s) || !digits(s + 2, key.size())) {
+    return std::nullopt;
+  }
+  return std::string(key.substr(0, v));
 }
 
 DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(

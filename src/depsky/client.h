@@ -16,7 +16,9 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/provider.h"
@@ -43,8 +45,6 @@ struct DepSkyConfig {
   std::vector<Bytes> trusted_writers;
   /// Per-cloud retry of transient failures (backoff charged to virtual time).
   RetryPolicy retry;
-  /// Per-cloud circuit-breaker thresholds (health.h).
-  HealthOptions health;
   /// Fan-out branches (per-cloud gets/puts, share encode, digesting) run
   /// here; null means inline on the caller's thread. The same quorum-join
   /// code path executes either way, so seeded runs produce byte-identical
@@ -181,6 +181,10 @@ class DepSkyClient {
   const HealthTracker& cloud_health(std::size_t i) const { return *health_.at(i); }
   // Retry and breaker activity is counted in the metrics registry:
   // depsky.attempts, .retries, .breaker.skips, .forced_probes, .deadline_hits.
+
+  /// The unit an object key belongs to: `<unit>.meta` (its metadata) or
+  /// `<unit>.v<version>.s<index>` (a share). Nullopt for any other key.
+  static std::optional<std::string> unit_of_key(std::string_view key);
 
   /// Size of the per-cloud blob a write of `data_size` bytes stores at each
   /// cloud: the payload itself (protocol A) or erasure shard + key share

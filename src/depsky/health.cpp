@@ -24,9 +24,8 @@ HealthTracker::HealthTracker(sim::SimClockPtr clock, HealthOptions options,
       quarantined_counter_(
           &obs::metrics().counter(obs::metric_key("depsky.quarantined", label))) {
   if (!clock_) throw std::invalid_argument("HealthTracker: null clock");
-  if (options_.failure_threshold < 1 || options_.half_open_successes < 1 ||
-      options_.withheld_share_threshold < 1) {
-    throw std::invalid_argument("HealthTracker: thresholds must be >= 1");
+  if (options_.failure_threshold < 1) {
+    throw std::invalid_argument("HealthTracker: failure_threshold must be >= 1");
   }
 }
 
@@ -44,7 +43,7 @@ void HealthTracker::record_misbehavior(MisbehaviorKind kind) {
   misbehavior_counter_->add();
   const bool condemns =
       kind != MisbehaviorKind::kWithheldShare ||
-      count >= static_cast<std::uint64_t>(options_.withheld_share_threshold);
+      count >= static_cast<std::uint64_t>(kWithheldShareThreshold);
   if (condemns && !quarantined_.exchange(true, std::memory_order_relaxed)) {
     quarantined_counter_->add();
   }
@@ -71,7 +70,7 @@ void HealthTracker::record_success() {
       break;
     case State::kOpen:      // a successful forced probe counts like a probe
     case State::kHalfOpen:
-      if (++probe_successes_ >= options_.half_open_successes) {
+      if (++probe_successes_ >= kHalfOpenSuccesses) {
         state_ = State::kClosed;
         consecutive_failures_ = 0;
         probe_successes_ = 0;

@@ -5,7 +5,7 @@
 //                failures trip the breaker
 //   open       — requests are skipped (fail-fast) until `open_cooldown_us`
 //                of virtual time has passed
-//   half-open  — probe requests are admitted; `half_open_successes`
+//   half-open  — probe requests are admitted; kHalfOpenSuccesses
 //                consecutive successes close the breaker, one failure
 //                re-opens it
 //
@@ -33,13 +33,15 @@ namespace rockfs::depsky {
 struct HealthOptions {
   int failure_threshold = 3;
   sim::SimClock::Micros open_cooldown_us = 5'000'000;  // 5 s of virtual time
-  int half_open_successes = 2;
-  /// Withheld-share incidents tolerated before quarantine. Unlike rollback /
-  /// equivocation (each individually provable), a missing acked share is
-  /// indistinguishable from genuine provider-side data loss, so a single
-  /// incident must not condemn the cloud.
-  int withheld_share_threshold = 3;
 };
+
+/// Consecutive successful probes that close a half-open breaker.
+inline constexpr int kHalfOpenSuccesses = 2;
+/// Withheld-share incidents tolerated before quarantine. Unlike rollback /
+/// equivocation (each individually provable), a missing acked share is
+/// indistinguishable from genuine provider-side data loss, so a single
+/// incident must not condemn the cloud.
+inline constexpr int kWithheldShareThreshold = 3;
 
 // ------------------------------------------------------ misbehavior ledger
 //
@@ -85,7 +87,7 @@ class HealthTracker {
   // ---- misbehavior ledger (sticky quarantine) ----
 
   /// Records one incident; quarantines immediately for provable kinds
-  /// (rollback, equivocation) and after `withheld_share_threshold` incidents
+  /// (rollback, equivocation) and after kWithheldShareThreshold incidents
   /// for withheld shares. Quarantine is sticky: no success, cooldown, or
   /// probe ever lifts it.
   void record_misbehavior(MisbehaviorKind kind);

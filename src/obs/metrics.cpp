@@ -28,6 +28,7 @@ std::uint64_t Histogram::bucket_upper(std::size_t b) noexcept {
 }
 
 void Histogram::record(std::uint64_t v) noexcept {
+  mark();
   buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
@@ -67,6 +68,7 @@ std::uint64_t Histogram::bucket_count(std::size_t b) const {
 }
 
 void Histogram::reset() noexcept {
+  mark(false);
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
@@ -78,6 +80,7 @@ Counter& MetricsRegistry::counter(const std::string& key) {
   std::lock_guard<std::mutex> lk(mu_);
   auto& slot = counters_[key];
   if (!slot) slot = std::make_unique<Counter>();
+  slot->mark();
   return *slot;
 }
 
@@ -85,6 +88,7 @@ Gauge& MetricsRegistry::gauge(const std::string& key) {
   std::lock_guard<std::mutex> lk(mu_);
   auto& slot = gauges_[key];
   if (!slot) slot = std::make_unique<Gauge>();
+  slot->mark();
   return *slot;
 }
 
@@ -92,6 +96,7 @@ Histogram& MetricsRegistry::histogram(const std::string& key) {
   std::lock_guard<std::mutex> lk(mu_);
   auto& slot = histograms_[key];
   if (!slot) slot = std::make_unique<Histogram>();
+  slot->mark();
   return *slot;
 }
 
@@ -127,6 +132,7 @@ std::string MetricsRegistry::to_json() const {
   out << "{\"counters\":{";
   bool first = true;
   for (const auto& [k, c] : counters_) {
+    if (!c->touched()) continue;
     if (!first) out << ',';
     first = false;
     append_escaped(out, k);
@@ -135,6 +141,7 @@ std::string MetricsRegistry::to_json() const {
   out << "},\"gauges\":{";
   first = true;
   for (const auto& [k, g] : gauges_) {
+    if (!g->touched()) continue;
     if (!first) out << ',';
     first = false;
     append_escaped(out, k);
@@ -143,6 +150,7 @@ std::string MetricsRegistry::to_json() const {
   out << "},\"histograms\":{";
   first = true;
   for (const auto& [k, h] : histograms_) {
+    if (!h->touched()) continue;
     if (!first) out << ',';
     first = false;
     append_escaped(out, k);

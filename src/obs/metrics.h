@@ -4,7 +4,9 @@
 // Design rules (what makes this safe to call on hot paths):
 //   * instruments are never deallocated — registry reset() ZEROES values but
 //     keeps every instrument alive, so components may cache the returned
-//     references across resets (CloudProvider, DepSkyClient do);
+//     references across resets (CloudProvider, DepSkyClient do); a dump
+//     lists only instruments looked up or written since the last reset, so
+//     it matches a fresh registry's dump of the same work;
 //   * increments are lock-free atomics; the registry mutex is only taken on
 //     first registration and on export;
 //   * everything recorded is derived from simulated state (virtual delays,
@@ -28,24 +30,40 @@ namespace rockfs::obs {
 /// "name{label}", or just "name" when the label is empty.
 std::string metric_key(std::string_view name, std::string_view label);
 
-/// Monotonic counter. Thread-safe, lock-free.
-class Counter {
+/// Set when an instrument is looked up or written; reset() clears it, and a
+/// dump skips the instruments whose flag is clear.
+class Touched {
  public:
-  void add(std::uint64_t n = 1) noexcept { v_.fetch_add(n, std::memory_order_relaxed); }
+  bool touched() const noexcept { return flag_.load(std::memory_order_relaxed); }
+  void mark(bool on = true) noexcept {
+    if (touched() != on) flag_.store(on, std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<bool> flag_{false};
+};
+
+/// Monotonic counter. Thread-safe, lock-free.
+class Counter : public Touched {
+ public:
+  void add(std::uint64_t n = 1) noexcept {
+    mark();
+    v_.fetch_add(n, std::memory_order_relaxed);
+  }
   std::uint64_t value() const noexcept { return v_.load(std::memory_order_relaxed); }
-  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept { mark(false); v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
 };
 
 /// Last-write-wins signed gauge. Thread-safe, lock-free.
-class Gauge {
+class Gauge : public Touched {
  public:
-  void set(std::int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) noexcept { v_.fetch_add(d, std::memory_order_relaxed); }
+  void set(std::int64_t v) noexcept { mark(); v_.store(v, std::memory_order_relaxed); }
+  void add(std::int64_t d) noexcept { mark(); v_.fetch_add(d, std::memory_order_relaxed); }
   std::int64_t value() const noexcept { return v_.load(std::memory_order_relaxed); }
-  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept { mark(false); v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> v_{0};
@@ -55,7 +73,7 @@ class Gauge {
 /// holds values whose bit width is b (i.e. v in [2^(b-1), 2^b - 1]); value 0
 /// lands in bucket 0. Percentiles report the bucket's upper bound clamped to
 /// the observed maximum, so they are exact integers and deterministic.
-class Histogram {
+class Histogram : public Touched {
  public:
   static constexpr std::size_t kBuckets = 65;  // bit widths 0..64
 
@@ -88,7 +106,7 @@ class Histogram {
 
 /// Registry of named instruments. Lookup registers on first use; the
 /// returned references stay valid for the registry's lifetime (reset()
-/// zeroes, never deallocates).
+/// zeroes, never deallocates). Every lookup marks the instrument touched.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& key);
@@ -99,11 +117,13 @@ class MetricsRegistry {
   /// register).
   std::uint64_t counter_value(const std::string& key) const;
 
-  /// Zeroes every instrument. References handed out earlier remain valid.
+  /// Zeroes and untouches every instrument. References handed out earlier
+  /// remain valid.
   void reset();
 
   /// Deterministic JSON dump: {"counters":{...},"gauges":{...},
-  /// "histograms":{...}}, keys sorted, integer values only.
+  /// "histograms":{...}}, keys sorted, integer values only. Lists only the
+  /// instruments touched since the last reset().
   std::string to_json() const;
 
  private:

@@ -1,23 +1,31 @@
 #include "rockfs/agent.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/logging.h"
 
 namespace rockfs::core {
 
-RockFsAgent::RockFsAgent(std::string user_id, std::vector<cloud::CloudProviderPtr> clouds,
+RockFsAgent::RockFsAgent(std::string user_id, AgentOptions options,
+                         std::vector<cloud::CloudProviderPtr> clouds, std::size_t f,
                          std::shared_ptr<coord::CoordinationService> coordination,
-                         sim::SimClockPtr clock, AgentOptions options,
-                         std::vector<crypto::Point> holder_pubs,
+                         sim::SimClockPtr clock, std::shared_ptr<common::Executor> executor,
+                         depsky::VersionWitnessPtr witness, sim::CrashSchedulePtr crash,
+                         cache::ClientCachePtr cache, std::vector<crypto::Point> holder_pubs,
                          std::size_t holder_threshold)
     : user_id_(std::move(user_id)),
+      options_(std::move(options)),
       clouds_(std::move(clouds)),
+      f_(f),
       coordination_(std::move(coordination)),
       clock_(std::move(clock)),
-      options_(std::move(options)),
+      executor_(std::move(executor)),
+      witness_(std::move(witness)),
+      crash_(std::move(crash)),
       holder_pubs_(std::move(holder_pubs)),
-      holder_threshold_(holder_threshold) {}
+      holder_threshold_(holder_threshold),
+      cache_(std::move(cache)) {}
 
 Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& material) {
   // Gather whatever holders are available; k of them suffice.
@@ -40,24 +48,15 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
   // Storage stack: DepSky over the cloud fleet, writing as PR_U.
   depsky::DepSkyConfig cfg;
   cfg.clouds = clouds_;
-  cfg.f = options_.f;
+  cfg.f = f_;
   cfg.protocol = options_.protocol;
   cfg.writer = crypto::keypair_from_private(keystore_->user_private_key);
-  cfg.trusted_writers = options_.trusted_writers;
-  cfg.executor = options_.executor;
-  cfg.join_mode = options_.join_mode;
-  cfg.witness = options_.witness;
+  cfg.trusted_writers = trusted_writers_;
+  cfg.executor = executor_;
+  cfg.witness = witness_;
   cfg.session = session_id;
-  cfg.membership_epoch = options_.membership_epoch;
+  cfg.membership_epoch = membership_epoch_;
   storage_ = std::make_shared<depsky::DepSkyClient>(std::move(cfg), drbg_->generate(32));
-
-  if (options_.enable_cache && !cache_) {
-    // First login mints the per-USER cache; later sessions reuse the handle
-    // so sealed entries survive re-logins (a rotated key just makes the
-    // stale ones fail open on hit).
-    cache_ = options_.cache ? options_.cache
-                            : std::make_shared<cache::ClientCache>(options_.cache_config);
-  }
 
   scfs::ScfsOptions fs_opts;
   fs_opts.sync_mode = options_.sync_mode;
@@ -65,7 +64,8 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
   fs_opts.session_id = session_id;
   fs_opts.lease_ttl_us = options_.lease_ttl_us;
   fs_opts.fencing = options_.fencing;
-  fs_opts.use_cache = options_.enable_cache;
+  // Every session reuses the per-USER cache handle, so sealed entries
+  // survive re-logins (a rotated key just makes the stale ones fail open).
   fs_opts.cache = cache_;
   fs_opts.writeback = options_.writeback;
   fs_ = std::make_unique<scfs::Scfs>(storage_, keystore_->file_tokens, coordination_,
@@ -91,7 +91,7 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
                              /*drop_entries=*/false);
   }
 
-  fs_->set_crash_schedule(options_.crash);
+  fs_->set_crash_schedule(crash_);
 
   if (options_.enable_logging) {
     // Resume the chain where a previous session left off (the aggregates
@@ -101,7 +101,7 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
     log_ = make_resumed_log_service(
         user_id_, storage_, keystore_->log_tokens, coordination_, clock_,
         fssagg::FssAggKeys{keystore_->fssagg_key_a, keystore_->fssagg_key_b},
-        LogServiceOptions{options_.enable_journal, options_.crash,
+        LogServiceOptions{options_.enable_journal, crash_,
                           keystore_->fssagg_base_count});
     log_->set_compression(options_.compress_log);
     fs_->set_close_intent_hook(
@@ -334,18 +334,15 @@ void RockFsAgent::replace_cloud(std::size_t index, cloud::CloudProviderPtr cloud
 }
 
 void RockFsAgent::set_membership_epoch(std::uint64_t epoch) {
-  if (epoch > options_.membership_epoch) options_.membership_epoch = epoch;
+  if (epoch > membership_epoch_) membership_epoch_ = epoch;
   if (storage_) storage_->set_membership_epoch(epoch);
 }
 
 void RockFsAgent::trust_writer(const Bytes& public_key) {
-  for (const auto& w : options_.trusted_writers) {
-    if (w == public_key) {
-      if (storage_) storage_->add_trusted_writer(public_key);
-      return;
-    }
+  if (std::find(trusted_writers_.begin(), trusted_writers_.end(), public_key) ==
+      trusted_writers_.end()) {
+    trusted_writers_.push_back(public_key);
   }
-  options_.trusted_writers.push_back(public_key);
   if (storage_) storage_->add_trusted_writer(public_key);
 }
 

@@ -21,6 +21,10 @@
 
 namespace rockfs::core {
 
+/// What a caller chooses per user. What the deployment owns (f, the thread
+/// pool, the freshness witness, the crash schedule, the per-user cache, the
+/// membership epoch and the trusted writers) is handed to the agent by
+/// Deployment::add_user instead, the same for every user.
 struct AgentOptions {
   scfs::SyncMode sync_mode = scfs::SyncMode::kNonBlocking;
   depsky::Protocol protocol = depsky::Protocol::kCA;
@@ -28,45 +32,19 @@ struct AgentOptions {
   bool enable_cache_crypto = true;   // false = plaintext cache (stock SCFS)
   bool compress_log = false;         // LZ-compress ld_fu payloads (§6.2 extension)
   std::int64_t session_key_validity_us = 3'600'000'000;  // 1 virtual hour
-  std::size_t f = 1;
-  /// Additional DepSky writers this agent trusts (the administrator's key,
-  /// so that recovered files verify).
-  std::vector<Bytes> trusted_writers;
   /// Persist write-ahead intents before each close pipeline and replay them
   /// at login, so a client crash anywhere along the close path is repaired
   /// on the next session (journal.h).
   bool enable_journal = true;
-  /// Crash schedule for fault-injection tests: crash points along the close
-  /// path consult it, and a fired crash tears the session down exactly like
-  /// a dead client process (the API call reports kCrashed).
-  sim::CrashSchedulePtr crash;
   /// Lease TTL for advisory locks (scfs/lease.h); an expired lease is
   /// evictable by any contender.
   std::int64_t lease_ttl_us = 30'000'000;
   /// Fencing epochs on the close path (scfs/lease.h). Off reproduces the
   /// PR 3 close pipeline byte-for-byte (bench baseline).
   bool fencing = true;
-  /// Thread pool for the DepSky fan-out and per-share encode/seal work
-  /// (common/executor.h); null runs everything inline. Seeded results are
-  /// byte-identical either way (the determinism contract, ARCHITECTURE §11).
-  std::shared_ptr<common::Executor> executor;
-  /// Fan-out join discipline; kBarrier keeps virtual time deterministic.
-  common::JoinMode join_mode = common::JoinMode::kBarrier;
-  /// Deployment-wide freshness witness (depsky/metadata.h): every client
-  /// session records the versions each cloud acked or served, so a cloud
-  /// contradicting itself across sessions is caught. Null = private witness.
-  depsky::VersionWitnessPtr witness;
-  /// Cloud-set membership epoch this agent believes current (depsky/
-  /// reconfig.h). Writes fail closed (kFenced) against newer-epoch metadata.
-  std::uint64_t membership_epoch = 0;
-  /// Client cache (src/cache, ARCHITECTURE §13). On disables all three tiers.
+  /// Client cache (src/cache, ARCHITECTURE §13). Off disables all three tiers.
   bool enable_cache = true;
-  /// Pre-built per-user cache handle. Null = the agent builds a private one
-  /// at first login and keeps it across re-logins (entries survive because
-  /// they are sealed; a rotated key makes stale ones fail open). Deployments
-  /// pass a shared handle so compromise response can drop it from outside.
-  cache::ClientCachePtr cache;
-  /// Sizing/TTL knobs when the agent builds its own cache.
+  /// Sizing/TTL knobs of the per-user cache the deployment builds.
   cache::CacheOptions cache_config;
   /// Write-back staging of close()s (off = write-through, the PR ≤9 path).
   cache::WriteBackOptions writeback;
@@ -85,10 +63,16 @@ class RockFsAgent {
  public:
   using Fd = scfs::Scfs::Fd;
 
-  RockFsAgent(std::string user_id, std::vector<cloud::CloudProviderPtr> clouds,
+  /// Built by Deployment::add_user. `f`, `executor` (null = inline),
+  /// `witness`, `crash` and `cache` (null = no client cache) are the
+  /// deployment's; the DepSky fan-out always joins with kBarrier.
+  RockFsAgent(std::string user_id, AgentOptions options,
+              std::vector<cloud::CloudProviderPtr> clouds, std::size_t f,
               std::shared_ptr<coord::CoordinationService> coordination,
-              sim::SimClockPtr clock, AgentOptions options,
-              std::vector<crypto::Point> holder_pubs, std::size_t holder_threshold);
+              sim::SimClockPtr clock, std::shared_ptr<common::Executor> executor,
+              depsky::VersionWitnessPtr witness, sim::CrashSchedulePtr crash,
+              cache::ClientCachePtr cache, std::vector<crypto::Point> holder_pubs,
+              std::size_t holder_threshold);
 
   // ---- session lifecycle (paper §4.1) ----
 
@@ -163,8 +147,8 @@ class RockFsAgent {
   /// Sequence number of the next log entry (== entries logged so far).
   std::uint64_t log_seq() const;
   const AgentOptions& options() const noexcept { return options_; }
-  /// The per-user cache handle (null before first login / when disabled).
-  /// Outlives sessions: logout keeps it, revocation drops its contents.
+  /// The per-user cache handle (null when disabled). Outlives sessions:
+  /// logout keeps it, revocation drops its contents.
   const cache::ClientCachePtr& cache() const noexcept { return cache_; }
   /// Drops every cache tier for this user (compromise response / tests).
   void drop_cache();
@@ -175,10 +159,20 @@ class RockFsAgent {
   Status crash_landing(const sim::ClientCrash& crash);
 
   std::string user_id_;
+  AgentOptions options_;
   std::vector<cloud::CloudProviderPtr> clouds_;
+  std::size_t f_;
   std::shared_ptr<coord::CoordinationService> coordination_;
   sim::SimClockPtr clock_;
-  AgentOptions options_;
+  std::shared_ptr<common::Executor> executor_;
+  depsky::VersionWitnessPtr witness_;
+  sim::CrashSchedulePtr crash_;
+  /// DepSky signers trusted besides this user's own key (the admin's, then
+  /// every peer's), in the order trust_writer learned them.
+  std::vector<Bytes> trusted_writers_;
+  /// Cloud-set membership epoch this agent believes current (depsky/
+  /// reconfig.h). Writes fail closed (kFenced) against newer-epoch metadata.
+  std::uint64_t membership_epoch_ = 0;
   std::vector<crypto::Point> holder_pubs_;
   std::size_t holder_threshold_;
   /// Login counter: each login is a distinct session ("u-s1", "u-s2", ...),

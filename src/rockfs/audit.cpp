@@ -67,8 +67,13 @@ UsageStats AuditAnalyzer::stats() const {
   return s;
 }
 
-std::set<std::uint64_t> AuditAnalyzer::detect_mass_rewrite(
-    const DetectionConfig& config) const {
+std::set<std::uint64_t> AuditAnalyzer::detect_mass_rewrite() const {
+  // Burst window: operations within this span count together.
+  constexpr std::int64_t kWindowUs = 120'000'000;  // 2 virtual minutes
+  // A burst is suspicious when it rewrites at least this many files...
+  constexpr std::size_t kMinFiles = 3;
+  // ...mostly with whole-file (not delta) entries.
+  constexpr double kMinWholeFileFraction = 0.8;
   std::set<std::uint64_t> flagged;
   // Only rewrites of existing content are ransomware-shaped; creations of
   // brand-new files are normal behaviour.
@@ -81,7 +86,7 @@ std::set<std::uint64_t> AuditAnalyzer::detect_mass_rewrite(
     if (hi < lo) hi = lo;
     while (hi + 1 < updates.size() && updates[hi + 1]->timestamp_us -
                                               updates[lo]->timestamp_us <=
-                                          config.window_us) {
+                                          kWindowUs) {
       ++hi;
     }
     std::set<std::string> touched;
@@ -91,9 +96,8 @@ std::set<std::uint64_t> AuditAnalyzer::detect_mass_rewrite(
       ++total;
       if (updates[i]->whole_file) ++whole;
     }
-    if (touched.size() >= config.min_files &&
-        static_cast<double>(whole) >=
-            config.min_whole_file_fraction * static_cast<double>(total)) {
+    if (touched.size() >= kMinFiles &&
+        static_cast<double>(whole) >= kMinWholeFileFraction * static_cast<double>(total)) {
       for (std::size_t i = lo; i <= hi; ++i) flagged.insert(updates[i]->seq);
     }
   }

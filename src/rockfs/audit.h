@@ -56,21 +56,10 @@ class AuditAnalyzer {
 
   UsageStats stats() const;
 
-  struct DetectionConfig {
-    /// Burst window: operations within this span count together.
-    std::int64_t window_us = 120'000'000;  // 2 virtual minutes
-    /// A burst is suspicious when it rewrites at least this many files...
-    std::size_t min_files = 3;
-    /// ...mostly with whole-file (not delta) entries.
-    double min_whole_file_fraction = 0.8;
-  };
-
   /// Metadata-only detector: seq numbers of entries inside mass-rewrite
-  /// bursts. No payload access required.
-  std::set<std::uint64_t> detect_mass_rewrite(const DetectionConfig& config) const;
-  std::set<std::uint64_t> detect_mass_rewrite() const {
-    return detect_mass_rewrite(DetectionConfig{});
-  }
+  /// bursts (at least 3 files rewritten within 2 virtual minutes, at least
+  /// 80% of the entries whole-file). No payload access required.
+  std::set<std::uint64_t> detect_mass_rewrite() const;
 
   /// Refines a candidate set with payload entropy: keeps only entries whose
   /// payload looks like ciphertext (entropy above `min_bits_per_byte`).

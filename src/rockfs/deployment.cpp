@@ -10,6 +10,11 @@
 
 namespace rockfs::core {
 
+namespace {
+/// File-system id every token of this deployment is scoped to.
+constexpr const char* kFsId = "rockfs";
+}  // namespace
+
 Deployment::Deployment(DeploymentOptions options)
     : options_(std::move(options)),
       clock_(std::make_shared<sim::SimClock>()),
@@ -24,11 +29,6 @@ Deployment::Deployment(DeploymentOptions options)
       crash_(std::make_shared<sim::CrashSchedule>()),
       witness_(std::make_shared<depsky::VersionWitness>()),
       next_spare_(clouds_.size()) {
-  if (options_.agent.f != options_.f) options_.agent.f = options_.f;
-  // Every agent added later (and the admin storage/scrubber) shares the pool.
-  if (executor_ && !options_.agent.executor) options_.agent.executor = executor_;
-  // ... and the freshness witness, so cross-session equivocation is caught.
-  if (!options_.agent.witness) options_.agent.witness = witness_;
   // Spans across this deployment's stack stamp their start times from the
   // deployment's virtual clock.
   obs::tracer().bind_clock(clock_);
@@ -54,10 +54,8 @@ RockFsAgent& Deployment::add_user(const std::string& user_id, const AgentOptions
   ks.user_private_key = user_keys.private_key.to_bytes_be();
   us.user_public_key = user_keys.public_key;
   for (auto& c : clouds_) {
-    ks.file_tokens.push_back(
-        c->issue_token(user_id, options_.fs_id, cloud::TokenScope::kFiles));
-    ks.log_tokens.push_back(
-        c->issue_token(user_id, options_.fs_id, cloud::TokenScope::kLogAppend));
+    ks.file_tokens.push_back(c->issue_token(user_id, kFsId, cloud::TokenScope::kFiles));
+    ks.log_tokens.push_back(c->issue_token(user_id, kFsId, cloud::TokenScope::kLogAppend));
   }
 
   // Administrator exchanges the FssAgg setup keys (A_1, B_1) — the agent
@@ -92,18 +90,18 @@ RockFsAgent& Deployment::add_user(const std::string& user_id, const AgentOptions
   clock_->advance_us(stored.delay);
   stored.value.expect("store sealed keystore");
 
-  AgentOptions agent_options = options;
-  agent_options.trusted_writers.push_back(crypto::point_encode(admin_keys_.public_key));
-  if (!agent_options.crash) agent_options.crash = crash_;
-  if (agent_options.enable_cache && !agent_options.cache) {
-    // Per-USER cache handle, minted here (not inside the agent) so the
-    // deployment's compromise response can reach it. Each user gets their
-    // own instance — a handle set by the caller is respected as-is.
-    agent_options.cache = std::make_shared<cache::ClientCache>(agent_options.cache_config);
+  // Whatever the options, the agent gets the deployment's f, pool, witness
+  // (so cross-session equivocation is caught), crash schedule and epoch. The
+  // per-USER cache is minted here so the compromise response can reach it.
+  cache::ClientCachePtr user_cache;
+  if (options.enable_cache) {
+    user_cache = std::make_shared<cache::ClientCache>(options.cache_config);
   }
-  auto agent = std::make_unique<RockFsAgent>(user_id, clouds_, coordination_, clock_,
-                                             agent_options, us.holder_pubs,
-                                             /*threshold=*/2);
+  auto agent = std::make_unique<RockFsAgent>(
+      user_id, options, clouds_, options_.f, coordination_, clock_, executor_, witness_,
+      crash_, std::move(user_cache), us.holder_pubs, /*threshold=*/2);
+  agent->trust_writer(admin_public_key());
+  agent->set_membership_epoch(membership_epoch_);
   secrets_[user_id] = std::move(us);
   agents_[user_id] = std::move(agent);
 
@@ -168,29 +166,34 @@ std::vector<cloud::AccessToken> Deployment::admin_tokens() {
   std::vector<cloud::AccessToken> tokens;
   tokens.reserve(clouds_.size());
   for (auto& c : clouds_) {
-    tokens.push_back(c->issue_token("admin", options_.fs_id, cloud::TokenScope::kAdmin));
+    tokens.push_back(c->issue_token("admin", kFsId, cloud::TokenScope::kAdmin));
   }
   return tokens;
 }
 
+std::shared_ptr<depsky::DepSkyClient> Deployment::make_admin_client(
+    std::vector<Bytes> trusted_writers, std::string session) {
+  depsky::DepSkyConfig cfg;
+  cfg.clouds = clouds_;
+  cfg.f = options_.f;
+  cfg.protocol = options_.agent.protocol;
+  cfg.writer = admin_keys_;
+  cfg.trusted_writers = std::move(trusted_writers);
+  cfg.executor = executor_;
+  cfg.witness = witness_;
+  cfg.session = std::move(session);
+  cfg.membership_epoch = membership_epoch_;
+  return std::make_shared<depsky::DepSkyClient>(std::move(cfg), setup_drbg_.generate(32));
+}
+
 std::shared_ptr<depsky::DepSkyClient> Deployment::make_admin_storage() {
-  depsky::DepSkyConfig storage_cfg;
-  storage_cfg.clouds = clouds_;
-  storage_cfg.f = options_.f;
-  storage_cfg.protocol = options_.agent.protocol;
-  storage_cfg.writer = admin_keys_;
   // The admin reads units written by any user: trust every signer.
+  std::vector<Bytes> trusted;
   for (const auto& [other_id, other_secrets] : secrets_) {
     (void)other_id;
-    storage_cfg.trusted_writers.push_back(
-        crypto::point_encode(other_secrets.user_public_key));
+    trusted.push_back(crypto::point_encode(other_secrets.user_public_key));
   }
-  storage_cfg.executor = executor_;
-  storage_cfg.witness = witness_;
-  storage_cfg.session = "admin";
-  storage_cfg.membership_epoch = membership_epoch_;
-  return std::make_shared<depsky::DepSkyClient>(std::move(storage_cfg),
-                                                setup_drbg_.generate(32));
+  return make_admin_client(std::move(trusted), "admin");
 }
 
 RecoveryService Deployment::make_recovery_service(const std::string& user_id) {
@@ -359,7 +362,7 @@ Result<Deployment::CompromiseResponse> Deployment::respond_to_compromise(
       }
 
       const std::int64_t session_expiry =
-          clock_->now_us() + options_.agent.session_key_validity_us;
+          clock_->now_us() + agent(user_id).options().session_key_validity_us;
       us.pending_rotation.rotation = rotate_keystore(
           *old_ks, std::move(file_tokens), std::move(log_tokens),
           setup_drbg_.generate_key(), session_expiry, chain_count + 1,
@@ -493,21 +496,10 @@ Result<Deployment::VerdictOutcome> Deployment::apply_audit_verdict(
 }
 
 LogScrubber Deployment::make_scrubber(const std::string& user_id, ScrubOptions options) {
-  auto& us = secrets(user_id);
-  depsky::DepSkyConfig storage_cfg;
-  storage_cfg.clouds = clouds_;
-  storage_cfg.f = options_.f;
-  storage_cfg.protocol = options_.agent.protocol;
-  storage_cfg.writer = admin_keys_;
   // The scrubber reads (and repairs) units written by the user and by the
   // admin chain: trust both signers.
-  storage_cfg.trusted_writers.push_back(crypto::point_encode(us.user_public_key));
-  storage_cfg.executor = executor_;
-  storage_cfg.witness = witness_;
-  storage_cfg.session = "scrub";
-  storage_cfg.membership_epoch = membership_epoch_;
-  auto storage = std::make_shared<depsky::DepSkyClient>(std::move(storage_cfg),
-                                                        setup_drbg_.generate(32));
+  auto storage =
+      make_admin_client({crypto::point_encode(secrets(user_id).user_public_key)}, "scrub");
   return LogScrubber(user_id, std::move(storage), admin_tokens(), coordination_, clock_,
                      options);
 }
@@ -537,8 +529,7 @@ cloud::CloudProviderPtr Deployment::make_spare_cloud() {
 
 Status Deployment::adopt_spare_tokens(std::size_t slot,
                                       const cloud::CloudProviderPtr& spare) {
-  const auto spare_admin =
-      spare->issue_token("admin", options_.fs_id, cloud::TokenScope::kAdmin);
+  const auto spare_admin = spare->issue_token("admin", kFsId, cloud::TokenScope::kAdmin);
   for (auto& [user_id, us] : secrets_) {
     // The spare enforces the user's current revocation floor from its first
     // moment (fail-closed: a pre-rotation token stolen earlier is dead here
@@ -551,10 +542,8 @@ Status Deployment::adopt_spare_tokens(std::size_t slot,
     auto ks = unseal_keystore(us.sealed, {us.coordination_holder, us.external_holder},
                               us.holder_pubs, /*k=*/2, setup_drbg_);
     if (!ks.ok()) return Status{ks.error()};
-    ks->file_tokens[slot] =
-        spare->issue_token(user_id, options_.fs_id, cloud::TokenScope::kFiles);
-    ks->log_tokens[slot] =
-        spare->issue_token(user_id, options_.fs_id, cloud::TokenScope::kLogAppend);
+    ks->file_tokens[slot] = spare->issue_token(user_id, kFsId, cloud::TokenScope::kFiles);
+    ks->log_tokens[slot] = spare->issue_token(user_id, kFsId, cloud::TokenScope::kLogAppend);
     us.sealed = seal_keystore(*ks, {us.device_holder, us.coordination_holder,
                                     us.external_holder},
                               /*k=*/2, setup_drbg_, /*password=*/{}, executor_.get());
@@ -579,16 +568,9 @@ std::vector<std::string> Deployment::enumerate_units(std::size_t skip_index) {
     clock_->advance_us(listed.delay);
     if (!listed.value.ok()) continue;  // an unreachable cloud cannot widen the union
     for (const auto& obj : *listed.value) {
-      std::string unit = obj.key;
-      if (const auto meta = unit.rfind(".meta");
-          meta != std::string::npos && meta + 5 == unit.size()) {
-        unit.resize(meta);
-      } else if (const auto ver = unit.rfind(".v"); ver != std::string::npos) {
-        unit.resize(ver);
-      } else {
-        continue;  // not a unit-structured key
+      if (auto unit = depsky::DepSkyClient::unit_of_key(obj.key)) {
+        units.insert(std::move(*unit));
       }
-      units.insert(std::move(unit));
     }
   }
   return {units.begin(), units.end()};
@@ -721,7 +703,6 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     // 5. Adopt the epoch everywhere and bring every agent back up over the
     //    new fleet (their next writes carry — and fence on — the new epoch).
     membership_epoch_ = epoch;
-    options_.agent.membership_epoch = std::max(options_.agent.membership_epoch, epoch);
     for (auto& [user_id, agent] : agents_) {
       agent->set_membership_epoch(epoch);
       if (agent->logged_in()) agent->logout();

@@ -22,8 +22,7 @@ namespace rockfs::core {
 struct DeploymentOptions {
   std::size_t f = 1;  // clouds and coordination replicas are both 3f+1
   std::uint64_t seed = 2018;
-  std::string fs_id = "rockfs";
-  AgentOptions agent;  // defaults applied to every user added
+  AgentOptions agent;  // options of every user added without their own
   /// > 0: the deployment owns one shared thread pool of this many workers
   /// and hands it to every agent, the admin storage and the scrubber, so
   /// the whole stack (including the SCFS close path) fans out for real.
@@ -45,7 +44,9 @@ class Deployment {
   /// Provisions a user end-to-end (paper setup flow): issues t_u/t_l at
   /// every cloud, generates PR_U and the FssAgg keys, builds and seals the
   /// keystore among {device, coordination, external} holders (k = 2 of 3),
-  /// stores the sealed keystore, and logs the agent in.
+  /// stores the sealed keystore, and logs the agent in. Either overload
+  /// gives the agent the deployment's f, thread pool, witness, crash
+  /// schedule and membership epoch; `options` only picks the per-user knobs.
   RockFsAgent& add_user(const std::string& user_id);
   RockFsAgent& add_user(const std::string& user_id, const AgentOptions& options);
 
@@ -60,8 +61,8 @@ class Deployment {
   /// them to full n-share redundancy.
   LogScrubber make_scrubber(const std::string& user_id, ScrubOptions options = {});
 
-  /// Deployment-wide crash schedule: agents created by add_user (unless
-  /// their AgentOptions carry their own) and recovery services consult it.
+  /// Deployment-wide crash schedule: every agent created by add_user and
+  /// every recovery service consults it.
   /// Tests arm one crash point on it and drive the workload.
   const sim::CrashSchedulePtr& crash_schedule() const noexcept { return crash_; }
 
@@ -218,8 +219,13 @@ class Deployment {
   Result<ReconfigurationReport> reconfigure_cloud(std::size_t replaced_index);
 
  private:
-  /// DepSky client writing as the admin and trusting every user's signer
-  /// (shared by the recovery service and the rotation pipeline).
+  /// DepSky client writing as the admin over the current fleet, trusting
+  /// `trusted_writers`, sharing the deployment's pool and witness. Draws its
+  /// seed from setup_drbg_.
+  std::shared_ptr<depsky::DepSkyClient> make_admin_client(std::vector<Bytes> trusted_writers,
+                                                          std::string session);
+  /// Admin client trusting every user's signer (shared by the recovery
+  /// service and the rotation pipeline).
   std::shared_ptr<depsky::DepSkyClient> make_admin_storage();
 
   /// Provisions a fresh provider ("cloud-4", "cloud-5", ...) with the same
@@ -231,8 +237,7 @@ class Deployment {
   Status adopt_spare_tokens(std::size_t slot, const cloud::CloudProviderPtr& spare);
 
   /// Every unit name present on the retained clouds (union of listings,
-  /// `<unit>.meta` / `<unit>.v<V>.s<I>` keys collapsed) — the scrubber's
-  /// orphan-walk idiom widened to the whole namespace.
+  /// each key mapped by DepSkyClient::unit_of_key; other keys skipped).
   std::vector<std::string> enumerate_units(std::size_t skip_index);
 
   DeploymentOptions options_;

@@ -69,7 +69,6 @@ sim::Timed<Status> LogScrubber::scrub_chain(const std::string& chain,
     if (!degraded) continue;
     ++report.entries_degraded;
     reg.counter("scrub.entries.degraded").add();
-    if (!options_.repair) continue;
 
     auto fixed = storage_->repair(tokens_, r.data_unit());
     delay += fixed.delay;
@@ -119,8 +118,8 @@ sim::Timed<Status> LogScrubber::find_orphans(const std::string& chain,
     for (const LogRecord& i : *intents.value) accounted.insert(i.data_unit());
   }
 
-  // Union of the unit names present on any cloud. A key is
-  // logs/<chain>/e<seq>.meta or .v<version>.s<i>; the unit is the prefix.
+  // Union of the unit names present on any cloud; keys that are not a
+  // unit's metadata or share are not units and are skipped.
   const std::string prefix = "logs/" + chain + "/";
   const auto& clouds = storage_->config().clouds;
   std::set<std::string> present;
@@ -130,13 +129,9 @@ sim::Timed<Status> LogScrubber::find_orphans(const std::string& chain,
     list_delays.push_back(listed.delay);
     if (!listed.value.ok()) continue;
     for (const auto& obj : *listed.value) {
-      std::string unit = obj.key;
-      if (const auto meta = unit.rfind(".meta"); meta != std::string::npos) {
-        unit.resize(meta);
-      } else if (const auto ver = unit.rfind(".v"); ver != std::string::npos) {
-        unit.resize(ver);
+      if (auto unit = depsky::DepSkyClient::unit_of_key(obj.key)) {
+        present.insert(std::move(*unit));
       }
-      present.insert(std::move(unit));
     }
   }
   delay += sim::parallel_delay(list_delays);
@@ -152,10 +147,7 @@ Result<ScrubReport> LogScrubber::scrub() {
   sim::SimClock::Micros delay = 0;
   ScrubReport report;
 
-  std::vector<std::string> chains{user_id_};
-  if (options_.include_admin_chain) chains.push_back("admin:" + user_id_);
-
-  for (const std::string& chain : chains) {
+  for (const std::string& chain : {user_id_, "admin:" + user_id_}) {
     auto scrubbed = scrub_chain(chain, report);
     delay += scrubbed.delay;
     if (!scrubbed.value.ok()) {

@@ -34,11 +34,6 @@ struct ScrubOptions {
   /// default margin of 1 repairs an entry as soon as it can no longer lose
   /// another share without losing data.
   std::size_t margin = 1;
-  /// Repair degraded entries (false = detect and report only).
-  bool repair = true;
-  /// Also scrub the admin chain ("admin:<user>" — snapshots and recovery
-  /// records, which recovery depends on just as much).
-  bool include_admin_chain = true;
 };
 
 /// One scrubbed chain's outcome.
@@ -72,9 +67,10 @@ class LogScrubber {
               std::shared_ptr<coord::CoordinationService> coordination,
               sim::SimClockPtr clock, ScrubOptions options = {});
 
-  /// Scrubs the user chain (and the admin chain unless disabled). Advances
-  /// the clock by the scrub time. Metrics: scrub.entries.{checked,degraded,
-  /// repaired}, scrub.shares.repaired, scrub.orphans.
+  /// Scrubs and repairs the user chain and the admin chain ("admin:<user>":
+  /// snapshots and recovery records, which recovery depends on just as much).
+  /// Advances the clock by the scrub time. Metrics: scrub.entries.{checked,
+  /// degraded,repaired}, scrub.shares.repaired, scrub.orphans.
   Result<ScrubReport> scrub();
 
  private:

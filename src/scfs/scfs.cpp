@@ -16,6 +16,10 @@ namespace {
 // multi-writer records by (version, epoch).
 constexpr const char* kInodeTag = "scfs-inode";
 
+// Local client-side costs, charged in both sync modes.
+constexpr sim::SimClock::Micros kLocalOpCostUs = 1'500;  // syscall + agent bookkeeping
+constexpr double kLocalDiskBytesPerSec = 150e6;          // cache (SSD) throughput
+
 coord::Tuple inode_tuple(const FileStat& s) {
   return {kInodeTag,          s.path, std::to_string(s.version), std::to_string(s.size),
           s.owner,            std::to_string(s.modified_us),
@@ -67,11 +71,8 @@ Scfs::Scfs(std::shared_ptr<depsky::DepSkyClient> storage,
       clock_(std::move(clock)),
       options_(std::move(options)),
       transform_(std::make_shared<PassthroughTransform>()),
+      cache_(options_.cache),
       wb_(options_.writeback) {
-  if (options_.use_cache) {
-    cache_ = options_.cache ? options_.cache
-                            : std::make_shared<cache::ClientCache>(options_.cache_config);
-  }
   auto& reg = obs::metrics();
   close_count_ = &reg.counter("scfs.close.count");
   close_bytes_ = &reg.counter("scfs.close.bytes");
@@ -133,9 +134,8 @@ std::string Scfs::unit_for(const std::string& path) const {
 }
 
 sim::SimClock::Micros Scfs::local_cost(std::size_t bytes) const {
-  return options_.local_op_cost_us +
-         static_cast<sim::SimClock::Micros>(1e6 * static_cast<double>(bytes) /
-                                            options_.local_disk_bytes_per_sec);
+  return kLocalOpCostUs + static_cast<sim::SimClock::Micros>(
+                              1e6 * static_cast<double>(bytes) / kLocalDiskBytesPerSec);
 }
 
 bool Scfs::is_open_path(const std::string& path) const {
@@ -338,8 +338,7 @@ Result<Bytes> Scfs::read(Fd fd, std::size_t offset, std::size_t length) {
   const Bytes& c = it->second.content;
   if (offset >= c.size()) return Bytes{};
   const std::size_t take = std::min(length, c.size() - offset);
-  clock_->advance_us(local_cost(take) - options_.local_op_cost_us +
-                     options_.local_op_cost_us / 8);
+  clock_->advance_us(local_cost(take) - kLocalOpCostUs + kLocalOpCostUs / 8);
   return Bytes(c.begin() + static_cast<std::ptrdiff_t>(offset),
                c.begin() + static_cast<std::ptrdiff_t>(offset + take));
 }
@@ -351,8 +350,7 @@ Status Scfs::write(Fd fd, std::size_t offset, BytesView data) {
   if (offset + data.size() > c.size()) c.resize(offset + data.size());
   std::copy(data.begin(), data.end(), c.begin() + static_cast<std::ptrdiff_t>(offset));
   it->second.dirty = true;
-  clock_->advance_us(local_cost(data.size()) - options_.local_op_cost_us +
-                     options_.local_op_cost_us / 8);
+  clock_->advance_us(local_cost(data.size()) - kLocalOpCostUs + kLocalOpCostUs / 8);
   return {};
 }
 
@@ -367,7 +365,7 @@ Status Scfs::truncate(Fd fd, std::size_t new_size) {
   if (it == open_files_.end()) return {ErrorCode::kInvalidArgument, "scfs: bad fd"};
   it->second.content.resize(new_size);
   it->second.dirty = true;
-  clock_->advance_us(options_.local_op_cost_us / 8);
+  clock_->advance_us(kLocalOpCostUs / 8);
   return {};
 }
 
@@ -444,7 +442,7 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
     // their transfers contend for the client uplink.
     const auto shorter = std::min(r.pipeline, extra.delay);
     r.pipeline = std::max(r.pipeline, extra.delay) +
-                 static_cast<sim::SimClock::Micros>(options_.uplink_contention *
+                 static_cast<sim::SimClock::Micros>(kUplinkContention *
                                                     static_cast<double>(shorter));
   } else if (job.write_epoch != kNoFenceEpoch) {
     // No log pipeline to carry the commit-side fence check: do it here,

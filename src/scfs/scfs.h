@@ -74,14 +74,17 @@ struct FileStat {
   std::uint64_t epoch = 0;
 };
 
+/// Parallel upload pipelines (file + log) share the client's physical uplink:
+/// this fraction of the smaller pipeline's time is serialized behind the
+/// larger one (the request/RTT components overlap fully; only the transfer
+/// component contends). 0 = ideal parallelism, 1 = sequential.
+inline constexpr double kUplinkContention = 0.2;
+
 struct ScfsOptions {
   SyncMode sync_mode = SyncMode::kNonBlocking;
-  bool use_cache = true;
   /// Shared per-user cache handle (survives re-logins; rotation/revocation
-  /// drop it through the agent/deployment hooks). Null + use_cache=true →
-  /// the instance builds a private cache from `cache_config`.
+  /// drop it through the agent/deployment hooks). Null = no client cache.
   cache::ClientCachePtr cache;
-  cache::CacheOptions cache_config;
   /// Write-back coalescing (off by default: every dirty close commits
   /// through the full pipeline immediately — the PR 3/PR 4 behavior).
   cache::WriteBackOptions writeback;
@@ -97,14 +100,6 @@ struct ScfsOptions {
   /// commit (kFenced) when the path's lease epoch has moved past it. Off =
   /// the PR 3 close path, byte-for-byte (bench baseline).
   bool fencing = true;
-  /// Local client-side costs (charged in both modes).
-  std::int64_t local_op_cost_us = 1'500;         // syscall + agent bookkeeping
-  double local_disk_bytes_per_sec = 150e6;       // cache (SSD) throughput
-  /// Parallel upload pipelines (file + log) share the client's physical
-  /// uplink: this fraction of the smaller pipeline's time is serialized
-  /// behind the larger one (the request/RTT components overlap fully; only
-  /// the transfer component contends). 0 = ideal parallelism, 1 = sequential.
-  double uplink_contention = 0.2;
 };
 
 class Scfs {
@@ -221,10 +216,9 @@ class Scfs {
   /// Direct cache inspection for tests and the attack driver.
   std::optional<Bytes> cached_raw(const std::string& path) const;
   void poke_cache(const std::string& path, Bytes raw);
-  /// The shared cache handle (null when use_cache is off).
+  /// The shared cache handle (null when there is no client cache).
   const cache::ClientCachePtr& cache() const noexcept { return cache_; }
 
-  const ScfsOptions& options() const noexcept { return options_; }
   std::shared_ptr<depsky::DepSkyClient> storage() const noexcept { return storage_; }
   std::shared_ptr<coord::CoordinationService> coordination() const noexcept {
     return coordination_;
@@ -291,7 +285,7 @@ class Scfs {
   CloseInterceptor intent_hook_;
   sim::CrashSchedulePtr crash_;
 
-  cache::ClientCachePtr cache_;  // null when use_cache is off
+  cache::ClientCachePtr cache_;  // null = no client cache
   cache::WriteBackQueue wb_;
 
   std::map<Fd, OpenFile> open_files_;

@@ -345,5 +345,27 @@ TEST(Scrubber, ReportsOrphanedLogUnits) {
   EXPECT_EQ(report->orphan_units[0], "logs/alice/e000000000917");
 }
 
+// Every share and metadata key of a clean chain maps back to its committed
+// unit, even when the user name itself contains ".meta" or ".v"; a key that
+// is no unit's object is not reported as an orphan.
+TEST(Scrubber, CleanChainOfADottedUserHasNoOrphans) {
+  DeploymentOptions opts;
+  opts.seed = 34;
+  Deployment dep(opts);
+  auto& ops = dep.add_user("ops.metadata");
+  ASSERT_TRUE(ops.write_file("/a", content_for("dotted", 34)).ok());
+  ASSERT_TRUE(ops.write_file("/b", content_for("dotted", 35)).ok());
+
+  const auto& token = ops.keystore().log_tokens[0];
+  auto put = dep.clouds()[0]->put(token, "logs/ops.metadata/stray", to_bytes("x"));
+  ASSERT_TRUE(put.value.ok()) << put.value.error().message;
+
+  auto report = dep.make_scrubber("ops.metadata").scrub();
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_EQ(report->entries_checked, 2u);
+  EXPECT_EQ(report->entries_degraded, 0u);
+  EXPECT_TRUE(report->orphan_units.empty()) << report->orphan_units[0];
+}
+
 }  // namespace
 }  // namespace rockfs::core

@@ -222,6 +222,23 @@ TEST_F(DepSkyFixture, NeedsNGreaterEqual3FPlus1) {
   EXPECT_THROW(DepSkyClient(std::move(cfg), to_bytes("s")), std::invalid_argument);
 }
 
+TEST(DepSkyKeys, UnitOfKeyInvertsMetadataAndShareKeys) {
+  using depsky::DepSkyClient;
+  EXPECT_EQ(DepSkyClient::unit_of_key("files/a.txt.meta"), "files/a.txt");
+  EXPECT_EQ(DepSkyClient::unit_of_key("files/a.txt.v12.s3"), "files/a.txt");
+  // Unit names may themselves contain ".meta", ".v" or ".s".
+  EXPECT_EQ(DepSkyClient::unit_of_key("logs/ops.metadata/e000000000001.v1.s0"),
+            "logs/ops.metadata/e000000000001");
+  EXPECT_EQ(DepSkyClient::unit_of_key("logs/ops.metadata/e000000000001.meta"),
+            "logs/ops.metadata/e000000000001");
+  EXPECT_EQ(DepSkyClient::unit_of_key("files/x.v2.s1.v3.s0"), "files/x.v2.s1");
+  // Anything else is not a unit's object.
+  for (const char* key : {"attack/probe-alice", "files/a.v1", "files/a.v1.s", "files/a.vx.s0",
+                          "files/a.v1.sx", "files/a.s0", "files/a.metadata"}) {
+    EXPECT_EQ(DepSkyClient::unit_of_key(key), std::nullopt) << key;
+  }
+}
+
 TEST_F(DepSkyFixture, RepairRecreatesLostShare) {
   auto client = make_client(Protocol::kCA);
   Rng rng(7);

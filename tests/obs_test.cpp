@@ -161,6 +161,40 @@ TEST(Registry, HandlesSurviveReset) {
   EXPECT_EQ(reg.counter("a.count").value(), 1u);
 }
 
+// A dump after reset() lists only the instruments the work since the reset
+// looked up or wrote, so it equals a fresh registry's dump of the same work,
+// and a handle cached before the reset still reaches its instrument.
+TEST(Registry, DumpAfterResetEqualsAFreshRegistrysDump) {
+  const auto work = [](MetricsRegistry& reg, Counter& cached) {
+    reg.counter("b.count").add(2);
+    reg.gauge("b.depth").set(0);
+    reg.histogram("b.delay_us").record(40);
+    cached.add(5);
+  };
+  MetricsRegistry used;
+  Counter& used_cached = used.counter("a.cached");
+  Counter& idle = used.counter("a.idle");
+  idle.add(1);
+  used.counter("stale.count").add(9);
+  used.gauge("stale.depth").set(4);
+  used.histogram("stale.delay_us").record(7);
+  work(used, used_cached);
+  used.reset();
+  work(used, used_cached);
+
+  MetricsRegistry fresh;
+  Counter& fresh_cached = fresh.counter("a.cached");
+  work(fresh, fresh_cached);
+
+  EXPECT_EQ(used.to_json(), fresh.to_json());
+  EXPECT_EQ(used.to_json().find("stale"), std::string::npos);
+  EXPECT_EQ(used.to_json().find("a.idle"), std::string::npos);
+  EXPECT_NE(used.to_json().find("\"a.cached\":5"), std::string::npos);
+  // Writing through a handle cached before the reset lists it again.
+  idle.add(3);
+  EXPECT_NE(used.to_json().find("\"a.idle\":3"), std::string::npos);
+}
+
 TEST(Registry, CounterValueDoesNotRegister) {
   MetricsRegistry reg;
   EXPECT_EQ(reg.counter_value("never.registered"), 0u);

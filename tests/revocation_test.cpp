@@ -387,6 +387,21 @@ TEST(Revocation, ExpiredSessionKeySeedIsNeverServed) {
   EXPECT_NE(rolled.key, live);
 }
 
+// The rotated keystore's session key lives as long as the user's own
+// AgentOptions say, not the deployment's default (one virtual hour).
+TEST(Revocation, RotatedSessionKeyKeepsTheUsersValidity) {
+  Deployment dep;
+  AgentOptions opts;
+  opts.session_key_validity_us = 10'000'000;
+  auto& alice = dep.add_user("alice", opts);
+  ASSERT_TRUE(alice.write_file("/f", to_bytes("x")).ok());
+  auto response = dep.respond_to_compromise("alice");
+  ASSERT_TRUE(response.ok()) << response.error().message;
+  const std::int64_t expiry = dep.agent("alice").keystore().session_key_expiry_us;
+  EXPECT_GT(expiry, dep.clock()->now_us());
+  EXPECT_LE(expiry, dep.clock()->now_us() + opts.session_key_validity_us);
+}
+
 TEST(Revocation, KeystoreWipeZeroizesSecrets) {
   crypto::Drbg drbg(to_bytes("test.wipe"), to_bytes("seed"));
   Keystore ks;

@@ -139,6 +139,29 @@ TEST(Deployment, UsersAreIsolated) {
   EXPECT_EQ(bob.log_seq(), 1u);
 }
 
+// add_user with caller-chosen options must still hand the agent what the
+// deployment owns: its f, its freshness witness and its thread pool.
+TEST(Deployment, AddUserWithOptionsSharesDeploymentState) {
+  DeploymentOptions opts;
+  opts.f = 2;
+  opts.executor_threads = 2;
+  Deployment dep(opts);
+  auto& alice = dep.add_user("alice", AgentOptions{});
+  auto& bob = dep.add_user("bob");
+  ASSERT_NE(alice.storage(), nullptr);
+  const auto& cfg = alice.storage()->config();
+  EXPECT_EQ(cfg.witness, dep.witness());
+  EXPECT_EQ(cfg.f, 2u);
+  EXPECT_EQ(cfg.clouds.size(), 7u);
+  EXPECT_NE(cfg.executor, nullptr);
+  EXPECT_EQ(cfg.executor, bob.storage()->config().executor);
+  EXPECT_EQ(alice.storage()->membership_epoch(), dep.membership_epoch());
+  ASSERT_TRUE(alice.write_file("/doc", to_bytes("shared stack")).ok());
+  auto read = bob.read_file("/doc");
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(to_string(*read), "shared stack");
+}
+
 // ------------------------------------------------ T2: credential recovery
 
 TEST(ThreatT2, DeviceShareDestroyedExternalRecovers) {

@@ -68,10 +68,8 @@ std::string sha256_hex(const std::string& dump) {
 }
 
 // Recorded digests of the two seeds' dumps. Re-record them only for an
-// intended behaviour change. The metrics digests depend on test order:
-// reset() zeroes the registry but keeps every key registered earlier in the
-// process, so each dump also lists the keys of the tests that ran before it.
-// They hold for the whole binary run in declaration order (as ctest runs it).
+// intended behaviour change. A dump lists only the instruments its own run
+// touched, so the digests hold at any test order.
 constexpr const char* kTrace2018 =
     "1de3762184303af9c47a6a3426e2eb4f896ea83d429c782313a4e0d9f51de815";
 constexpr const char* kMetrics2018 =
