@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,11 @@
 #include "rockfs/deployment.h"
 
 namespace rockfs::bench {
+
+/// Trace ring size for a --metrics-json run: room for every span the
+/// largest --quick sweep finishes (bench_fig8_ransomware, ~82k), since
+/// dump_metrics_json fails a bench whose dump dropped any.
+inline constexpr std::size_t kDumpSpanCapacity = std::size_t{1} << 17;
 
 /// Command-line knobs shared by all benches.
 struct BenchArgs {
@@ -36,6 +43,7 @@ struct BenchArgs {
       if (a == "--reps" && i + 1 < argc) args.reps = std::atoi(argv[++i]);
       if (a == "--metrics-json" && i + 1 < argc) args.metrics_json = argv[++i];
     }
+    if (!args.metrics_json.empty()) obs::tracer().set_capacity(kDumpSpanCapacity);
     return args;
   }
 };
@@ -43,7 +51,8 @@ struct BenchArgs {
 /// Writes the accumulated metrics registry and span trace to
 /// `args.metrics_json` (no-op when the flag was not given). Call it at the
 /// end of main so the dump covers the whole run; see EXPERIMENTS.md
-/// ("Reading the --metrics-json dumps") for the schema.
+/// ("Reading the --metrics-json dumps") for the schema. A trace that
+/// dropped spans cannot explain the run, so the bench then exits 1.
 inline void dump_metrics_json(const BenchArgs& args) {
   if (args.metrics_json.empty()) return;
   std::FILE* f = std::fopen(args.metrics_json.c_str(), "w");
@@ -56,6 +65,12 @@ inline void dump_metrics_json(const BenchArgs& args) {
   std::fprintf(f, "{\"metrics\":%s,\"trace\":%s}\n", metrics.c_str(), trace.c_str());
   std::fclose(f);
   std::printf("metrics dump written to %s\n", args.metrics_json.c_str());
+  if (const std::uint64_t dropped = obs::tracer().dropped_count(); dropped > 0) {
+    std::fprintf(stderr, "GATE FAILED: the trace ring dropped %llu of %llu spans\n",
+                 static_cast<unsigned long long>(dropped),
+                 static_cast<unsigned long long>(obs::tracer().finished_count()));
+    std::exit(1);
+  }
 }
 
 inline double mean(const std::vector<double>& xs) {

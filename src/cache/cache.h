@@ -61,7 +61,7 @@ struct DataEntry {
   std::uint64_t version = 0;
 };
 
-/// Head-version metadata observed for a path (the scfs-inode fields), plus
+/// Head-version metadata observed for a path (the SCFS inode fields), plus
 /// the validation anchor: the lease epoch the client held when it filled the
 /// entry (0 = filled without holding the lease, never fast-path served).
 struct MetaEntry {

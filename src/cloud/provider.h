@@ -229,7 +229,13 @@ class CloudProvider {
 
 using CloudProviderPtr = std::shared_ptr<CloudProvider>;
 
-/// Convenience: builds `count` providers with S3-like profiles and distinct seeds.
+/// The provider at position `index` of a deployment's fleet: an S3-like
+/// profile whose RTT and uplink grow with the index, seeded `seed + 1000 *
+/// index`. Spares added by reconfiguration continue the same sequence.
+CloudProviderPtr make_provider(const sim::SimClockPtr& clock, std::size_t index,
+                               std::uint64_t seed);
+
+/// Providers 0..count-1 of make_provider.
 std::vector<CloudProviderPtr> make_provider_fleet(const sim::SimClockPtr& clock,
                                                   std::size_t count, std::uint64_t seed);
 

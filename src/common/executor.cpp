@@ -37,8 +37,8 @@ void ThreadPool::worker_loop() {
       fn = std::move(queue_.front());
       queue_.pop_front();
     }
-    // Count before running: fn() may complete a future, and a caller that
-    // saw it complete must also see the task counted.
+    // Count before running: a caller that saw fn() finish must also see the
+    // task counted.
     executed_.fetch_add(1, std::memory_order_relaxed);
     fn();
   }

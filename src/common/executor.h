@@ -1,5 +1,5 @@
-// Real execution for the simulated stack: a fixed thread pool with
-// submit()/Future, cooperative cancellation, and first-(n-f) quorum joins.
+// Real execution for the simulated stack: a fixed thread pool, barrier
+// fan-outs, cooperative cancellation, and first-(n-f) quorum joins.
 //
 // The DepSky hot path fans per-cloud operations out on an Executor. Two join
 // disciplines exist (JoinMode):
@@ -33,7 +33,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -77,60 +76,6 @@ class CancelToken {
   std::shared_ptr<State> state_;
 };
 
-/// Minimal single-producer future: the value set once by the task, read by
-/// the submitter. get() blocks and rethrows a task exception.
-template <typename T>
-class Future {
- public:
-  Future() : s_(std::make_shared<Shared>()) {}
-
-  bool ready() const {
-    std::lock_guard<std::mutex> lk(s_->mu);
-    return s_->ready;
-  }
-
-  void wait() const {
-    std::unique_lock<std::mutex> lk(s_->mu);
-    s_->cv.wait(lk, [this] { return s_->ready; });
-  }
-
-  /// Blocks until the task finished; rethrows its exception if it threw.
-  T get() const {
-    std::unique_lock<std::mutex> lk(s_->mu);
-    s_->cv.wait(lk, [this] { return s_->ready; });
-    if (s_->error) std::rethrow_exception(s_->error);
-    return *s_->value;
-  }
-
-  void set_value(T v) const {
-    {
-      std::lock_guard<std::mutex> lk(s_->mu);
-      s_->value.emplace(std::move(v));
-      s_->ready = true;
-    }
-    s_->cv.notify_all();
-  }
-
-  void set_exception(std::exception_ptr e) const {
-    {
-      std::lock_guard<std::mutex> lk(s_->mu);
-      s_->error = e;
-      s_->ready = true;
-    }
-    s_->cv.notify_all();
-  }
-
- private:
-  struct Shared {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::optional<T> value;
-    std::exception_ptr error;
-    bool ready = false;
-  };
-  std::shared_ptr<Shared> s_;
-};
-
 /// Where fan-out branches run. concurrency() == 1 means branches execute in
 /// the caller's thread, in launch order — the sequential baseline.
 class Executor {
@@ -138,24 +83,10 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Schedules `fn`. Implementations never throw out of the worker; `fn`
-  /// must not either (submit() wraps exceptions into the Future).
+  /// must not either (parallel_for_index and QuorumJoin catch and carry
+  /// branch exceptions).
   virtual void execute(std::function<void()> fn) = 0;
   virtual std::size_t concurrency() const noexcept = 0;
-
-  /// Schedules `fn` and returns a Future for its result (exceptions travel
-  /// through Future::get).
-  template <typename F, typename R = std::invoke_result_t<F>>
-  Future<R> submit(F&& fn) {
-    Future<R> fut;
-    execute([fut, f = std::forward<F>(fn)]() mutable {
-      try {
-        fut.set_value(f());
-      } catch (...) {
-        fut.set_exception(std::current_exception());
-      }
-    });
-    return fut;
-  }
 };
 
 /// Runs everything inline in the calling thread (the deterministic serial
@@ -179,7 +110,7 @@ class ThreadPool final : public Executor {
   void execute(std::function<void()> fn) override;
   std::size_t concurrency() const noexcept override { return workers_.size(); }
   /// Tasks started so far (tests / introspection); a task is counted
-  /// before its result becomes visible.
+  /// before it runs, so a caller that saw it finish also sees it counted.
   std::uint64_t executed() const noexcept {
     return executed_.load(std::memory_order_relaxed);
   }

@@ -182,8 +182,12 @@ class DepSkyClient {
   // Retry and breaker activity is counted in the metrics registry:
   // depsky.attempts, .retries, .breaker.skips, .forced_probes, .deadline_hits.
 
-  /// The unit an object key belongs to: `<unit>.meta` (its metadata) or
-  /// `<unit>.v<version>.s<index>` (a share). Nullopt for any other key.
+  /// Object key of the share cloud `cloud_index` holds for `version` of
+  /// `unit`: `<unit>.v<version>.s<index>`.
+  static std::string share_key(const std::string& unit, std::uint64_t version,
+                               std::size_t cloud_index);
+  /// The inverse: the unit an object key belongs to, `<unit>.meta` (its
+  /// metadata) or a share key. Nullopt for any other key.
   static std::optional<std::string> unit_of_key(std::string_view key);
 
   /// Size of the per-cloud blob a write of `data_size` bytes stores at each
@@ -209,8 +213,6 @@ class DepSkyClient {
                                       const std::string& unit, bool cold);
 
   static std::string metadata_key(const std::string& unit);
-  static std::string share_key(const std::string& unit, std::uint64_t version,
-                               std::size_t cloud_index);
 
   /// Cloud indices to contact for one quorum phase: every cloud whose
   /// breaker admits requests, padded with open-breaker clouds (forced

@@ -516,17 +516,6 @@ std::size_t Deployment::quarantined_cloud() const {
   return kNoCloud;
 }
 
-cloud::CloudProviderPtr Deployment::make_spare_cloud() {
-  const std::size_t idx = next_spare_++;
-  auto profile = sim::LinkProfile::s3_like("cloud-" + std::to_string(idx));
-  // Same heterogeneity formula as make_provider_fleet, continued past the
-  // initial fleet, so a reconfigured deployment stays in-family.
-  profile.rtt_us += static_cast<std::int64_t>(idx) * 2'000;
-  profile.up_bytes_per_sec *= 1.0 + 0.07 * static_cast<double>(idx);
-  return std::make_shared<cloud::CloudProvider>(profile.name, clock_, profile,
-                                                options_.seed + 1000 * idx);
-}
-
 Status Deployment::adopt_spare_tokens(std::size_t slot,
                                       const cloud::CloudProviderPtr& spare) {
   const auto spare_admin = spare->issue_token("admin", kFsId, cloud::TokenScope::kAdmin);
@@ -589,7 +578,8 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     // 1. Stage the manifest and the spare (durably, on the admin's disk) so
     //    a crashed pipeline resumes the same epoch instead of re-minting.
     if (!pending_reconfig_.active) {
-      auto spare = make_spare_cloud();
+      // A spare continues the fleet's provider sequence ("cloud-4", ...).
+      auto spare = cloud::make_provider(clock_, next_spare_++, options_.seed);
       std::vector<std::string> old_names;
       old_names.reserve(clouds_.size());
       for (const auto& c : clouds_) old_names.push_back(c->name());

@@ -228,10 +228,6 @@ class Deployment {
   /// service and the rotation pipeline).
   std::shared_ptr<depsky::DepSkyClient> make_admin_storage();
 
-  /// Provisions a fresh provider ("cloud-4", "cloud-5", ...) with the same
-  /// S3-like heterogeneity formula as the initial fleet.
-  cloud::CloudProviderPtr make_spare_cloud();
-
   /// Mints tokens for every user at the spare and reseals their keystores
   /// with the slot's tokens replaced (same holders, same keystore epoch).
   Status adopt_spare_tokens(std::size_t slot, const cloud::CloudProviderPtr& spare);

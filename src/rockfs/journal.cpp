@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/hex.h"
 #include "common/logging.h"
-#include "crypto/sha256.h"
 #include "obs/metrics.h"
 #include "sim/timed.h"
 
@@ -12,75 +10,26 @@ namespace rockfs::core {
 
 namespace {
 
-constexpr const char* kJournalTag = "rockjournal";
-
-coord::Template intent_pattern(const std::string& user, std::uint64_t seq) {
-  return coord::Template::of({kJournalTag, user, padded_seq(seq), "*", "*", "*", "*",
-                              "*", "*", "*", "*", "*"});
-}
-
-coord::Template all_intents_pattern(const std::string& user) {
-  return coord::Template::of(
-      {kJournalTag, user, "*", "*", "*", "*", "*", "*", "*", "*", "*", "*"});
-}
-
-coord::Tuple aggregate_tuple(const std::string& user, const fssagg::FssAggSigner& signer) {
-  return {LogService::aggregate_tag(), user, hex_encode(signer.aggregate_a()),
-          hex_encode(signer.aggregate_b()), std::to_string(signer.count())};
-}
-
 bool tags_equal(const fssagg::FssAggTag& a, const fssagg::FssAggTag& b) {
   return ct_equal(a.mac_a, b.mac_a) && ct_equal(a.mac_b, b.mac_b);
 }
 
 }  // namespace
 
-const char* IntentJournal::tag() { return kJournalTag; }
-
 IntentJournal::IntentJournal(std::string user_id,
                              std::shared_ptr<coord::CoordinationService> coordination)
     : user_id_(std::move(user_id)), coordination_(std::move(coordination)) {}
 
 coord::Tuple IntentJournal::to_tuple(const LogRecord& intent) {
-  return {kJournalTag,
-          intent.user,
-          padded_seq(intent.seq),
-          intent.path,
-          std::to_string(intent.version),
-          intent.op,
-          intent.whole_file ? "1" : "0",
-          std::to_string(intent.payload_size),
-          hex_encode(intent.payload_hash),
-          std::to_string(intent.timestamp_us),
-          std::to_string(intent.epoch),
-          std::to_string(intent.fence_epoch)};
+  return log_tuple(LogTuple::kIntent, intent);
 }
 
 Result<LogRecord> IntentJournal::from_tuple(const coord::Tuple& t) {
-  if (t.size() != 12 || t[0] != kJournalTag) {
-    return Error{ErrorCode::kCorrupted, "journal intent: malformed tuple"};
-  }
-  try {
-    LogRecord r;
-    r.user = t[1];
-    r.seq = std::stoull(t[2]);
-    r.path = t[3];
-    r.version = std::stoull(t[4]);
-    r.op = t[5];
-    r.whole_file = t[6] == "1";
-    r.payload_size = std::stoull(t[7]);
-    r.payload_hash = hex_decode(t[8]);
-    r.timestamp_us = std::stoll(t[9]);
-    r.epoch = std::stoull(t[10]);
-    r.fence_epoch = std::stoull(t[11]);
-    return r;
-  } catch (const std::exception& e) {
-    return Error{ErrorCode::kCorrupted, std::string("journal intent: ") + e.what()};
-  }
+  return parse_log_tuple(LogTuple::kIntent, t);
 }
 
 sim::Timed<Status> IntentJournal::record(const LogRecord& intent) {
-  auto stored = coordination_->replace(intent_pattern(user_id_, intent.seq),
+  auto stored = coordination_->replace(log_pattern(LogTuple::kIntent, user_id_, intent.seq),
                                        to_tuple(intent));
   obs::metrics().counter("journal.intents.recorded").add();
   if (!stored.value.ok()) return {Status{stored.value.error()}, stored.delay};
@@ -88,25 +37,14 @@ sim::Timed<Status> IntentJournal::record(const LogRecord& intent) {
 }
 
 sim::Timed<Status> IntentJournal::clear(std::uint64_t seq) {
-  auto taken = coordination_->inp(intent_pattern(user_id_, seq));
+  auto taken = coordination_->inp(log_pattern(LogTuple::kIntent, user_id_, seq));
   obs::metrics().counter("journal.intents.cleared").add();
   if (!taken.value.ok()) return {Status{taken.value.error()}, taken.delay};
   return {Status::Ok(), taken.delay};
 }
 
 sim::Timed<Result<std::vector<LogRecord>>> IntentJournal::pending() const {
-  auto all = coordination_->rdall(all_intents_pattern(user_id_));
-  if (!all.value.ok()) return {Error{all.value.error()}, all.delay};
-  std::vector<LogRecord> intents;
-  intents.reserve(all.value->size());
-  for (const auto& t : *all.value) {
-    auto r = from_tuple(t);
-    if (!r.ok()) return {Error{r.error()}, all.delay};
-    intents.push_back(std::move(*r));
-  }
-  std::sort(intents.begin(), intents.end(),
-            [](const LogRecord& a, const LogRecord& b) { return a.seq < b.seq; });
-  return {std::move(intents), all.delay};
+  return read_log_records(*coordination_, user_id_, LogTuple::kIntent);
 }
 
 sim::Timed<Result<JournalReplayReport>> replay_intent_journal(
@@ -147,9 +85,8 @@ sim::Timed<Result<JournalReplayReport>> replay_intent_journal(
     ++report.adopted;
   }
   if (aggregates_stale) {
-    auto agg = coordination->replace(
-        coord::Template::of({LogService::aggregate_tag(), user_id, "*", "*", "*"}),
-        aggregate_tuple(user_id, signer));
+    auto agg =
+        coordination->replace(aggregate_pattern(user_id), aggregate_tuple(user_id, signer));
     delay += agg.delay;
     if (!agg.value.ok()) return {Error{agg.value.error()}, delay};
   }
@@ -222,10 +159,7 @@ sim::Timed<Result<JournalReplayReport>> replay_intent_journal(
     // in the intent is the arbiter.)
     auto payload = storage->read(log_tokens, intent.data_unit());
     delay += payload.delay;
-    const bool durable = payload.value.ok() &&
-                         payload.value->size() == intent.payload_size &&
-                         ct_equal(crypto::sha256(*payload.value), intent.payload_hash);
-    if (durable) {
+    if (payload.value.ok() && intent.matches_payload(*payload.value)) {
       LogRecord record = intent;
       fssagg::FssAggSigner next = signer;
       record.tag = next.append(record.mac_payload());

@@ -44,9 +44,6 @@ class IntentJournal {
   IntentJournal(std::string user_id,
                 std::shared_ptr<coord::CoordinationService> coordination);
 
-  /// Tuple tag used for intents ("rockjournal").
-  static const char* tag();
-
   /// Persists (replaces) the intent for `intent.seq`.
   sim::Timed<Status> record(const LogRecord& intent);
   /// Removes the intent for `seq` (after the append committed).
@@ -54,8 +51,8 @@ class IntentJournal {
   /// All pending intents, ascending seq order.
   sim::Timed<Result<std::vector<LogRecord>>> pending() const;
 
-  /// Serialization: everything of a LogRecord except the (not yet computed)
-  /// FssAgg tag.
+  /// Serialization (LogTuple::kIntent, logservice.h): everything of a
+  /// LogRecord except the (not yet computed) FssAgg tag.
   static coord::Tuple to_tuple(const LogRecord& intent);
   static Result<LogRecord> from_tuple(const coord::Tuple& t);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "common/compress.h"
 #include "common/hex.h"
@@ -14,18 +15,7 @@
 namespace rockfs::core {
 
 namespace {
-constexpr const char* kRecordTag = "rocklog";
 constexpr const char* kAggregateTag = "rockagg";
-}  // namespace
-
-std::string padded_seq(std::uint64_t seq) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%012llu", static_cast<unsigned long long>(seq));
-  return buf;
-}
-
-namespace {
-std::string pad_seq(std::uint64_t seq) { return padded_seq(seq); }
 
 // Client-side delta computation throughput. The paper's client is a 1-vCPU
 // VM and §6.1 attributes the logging overhead primarily to "the time for the
@@ -37,10 +27,24 @@ sim::SimClock::Micros diff_compute_us(std::size_t old_size, std::size_t new_size
   return 1'000 + static_cast<sim::SimClock::Micros>(
                      1e6 * static_cast<double>(old_size + new_size) / kDiffBytesPerSec);
 }
+
+struct TupleFormat {
+  const char* tag;
+  std::size_t size;  // tag + ten shared fields + the kind's trailing fields
+  const char* what;  // error-message prefix
+};
+
+TupleFormat format_of(LogTuple kind) {
+  return kind == LogTuple::kRecord ? TupleFormat{"rocklog", 13, "log record"}
+                                   : TupleFormat{"rockjournal", 12, "journal intent"};
+}
 }  // namespace
 
-const char* LogService::record_tag() { return kRecordTag; }
-const char* LogService::aggregate_tag() { return kAggregateTag; }
+std::string padded_seq(std::uint64_t seq) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%012llu", static_cast<unsigned long long>(seq));
+  return buf;
+}
 
 Bytes LogRecord::mac_payload() const {
   Bytes out;
@@ -57,25 +61,31 @@ Bytes LogRecord::mac_payload() const {
   return out;
 }
 
-coord::Tuple LogRecord::to_tuple() const {
-  return {kRecordTag,
-          user,
-          pad_seq(seq),
-          path,
-          std::to_string(version),
-          op,
-          whole_file ? "1" : "0",
-          std::to_string(payload_size),
-          hex_encode(payload_hash),
-          std::to_string(timestamp_us),
-          std::to_string(epoch),
-          hex_encode(tag.mac_a),
-          hex_encode(tag.mac_b)};
+coord::Tuple log_tuple(LogTuple kind, const LogRecord& r) {
+  coord::Tuple t = {format_of(kind).tag,
+                    r.user,
+                    padded_seq(r.seq),
+                    r.path,
+                    std::to_string(r.version),
+                    r.op,
+                    r.whole_file ? "1" : "0",
+                    std::to_string(r.payload_size),
+                    hex_encode(r.payload_hash),
+                    std::to_string(r.timestamp_us),
+                    std::to_string(r.epoch)};
+  if (kind == LogTuple::kRecord) {
+    t.push_back(hex_encode(r.tag.mac_a));
+    t.push_back(hex_encode(r.tag.mac_b));
+  } else {
+    t.push_back(std::to_string(r.fence_epoch));
+  }
+  return t;
 }
 
-Result<LogRecord> LogRecord::from_tuple(const coord::Tuple& t) {
-  if (t.size() != 13 || t[0] != kRecordTag) {
-    return Error{ErrorCode::kCorrupted, "log record: malformed tuple"};
+Result<LogRecord> parse_log_tuple(LogTuple kind, const coord::Tuple& t) {
+  const TupleFormat format = format_of(kind);
+  if (t.size() != format.size || t[0] != format.tag) {
+    return Error{ErrorCode::kCorrupted, std::string(format.what) + ": malformed tuple"};
   }
   try {
     LogRecord r;
@@ -89,43 +99,62 @@ Result<LogRecord> LogRecord::from_tuple(const coord::Tuple& t) {
     r.payload_hash = hex_decode(t[8]);
     r.timestamp_us = std::stoll(t[9]);
     r.epoch = std::stoull(t[10]);
-    r.tag.mac_a = hex_decode(t[11]);
-    r.tag.mac_b = hex_decode(t[12]);
+    if (kind == LogTuple::kRecord) {
+      r.tag.mac_a = hex_decode(t[11]);
+      r.tag.mac_b = hex_decode(t[12]);
+    } else {
+      r.fence_epoch = std::stoull(t[11]);
+    }
     return r;
   } catch (const std::exception& e) {
-    return Error{ErrorCode::kCorrupted, std::string("log record: ") + e.what()};
+    return Error{ErrorCode::kCorrupted, std::string(format.what) + ": " + e.what()};
   }
 }
 
+coord::Template log_pattern(LogTuple kind, const std::string& user,
+                            std::optional<std::uint64_t> seq) {
+  const TupleFormat format = format_of(kind);
+  std::vector<std::string> fields(format.size, "*");
+  fields[0] = format.tag;
+  fields[1] = user;
+  if (seq) fields[2] = padded_seq(*seq);
+  return coord::Template::of(std::move(fields));
+}
+
+coord::Template aggregate_pattern(const std::string& user) {
+  return coord::Template::of({kAggregateTag, user, "*", "*", "*"});
+}
+
+coord::Tuple aggregate_tuple(const std::string& user, const fssagg::FssAggSigner& signer) {
+  return {kAggregateTag, user, hex_encode(signer.aggregate_a()),
+          hex_encode(signer.aggregate_b()), std::to_string(signer.count())};
+}
+
+coord::Tuple LogRecord::to_tuple() const { return log_tuple(LogTuple::kRecord, *this); }
+
+Result<LogRecord> LogRecord::from_tuple(const coord::Tuple& t) {
+  return parse_log_tuple(LogTuple::kRecord, t);
+}
+
+bool LogRecord::matches_payload(BytesView payload) const {
+  return payload.size() == payload_size && ct_equal(crypto::sha256(payload), payload_hash);
+}
+
 std::string LogRecord::data_unit() const {
-  return "logs/" + user + "/e" + pad_seq(seq);
+  return "logs/" + user + "/e" + padded_seq(seq);
 }
 
 LogService::LogService(std::string user_id,
                        std::shared_ptr<depsky::DepSkyClient> storage,
                        std::vector<cloud::AccessToken> log_tokens,
                        std::shared_ptr<coord::CoordinationService> coordination,
-                       sim::SimClockPtr clock, fssagg::FssAggKeys initial_keys)
+                       sim::SimClockPtr clock, fssagg::FssAggSigner signer)
     : user_id_(std::move(user_id)),
       storage_(std::move(storage)),
       log_tokens_(std::move(log_tokens)),
       coordination_(std::move(coordination)),
       clock_(std::move(clock)),
-      signer_(std::move(initial_keys)) {
-  next_seq_ = signer_.count();
-}
-
-LogService::LogService(std::string user_id,
-                       std::shared_ptr<depsky::DepSkyClient> storage,
-                       std::vector<cloud::AccessToken> log_tokens,
-                       std::shared_ptr<coord::CoordinationService> coordination,
-                       sim::SimClockPtr clock, fssagg::FssAggSigner resumed_signer)
-    : user_id_(std::move(user_id)),
-      storage_(std::move(storage)),
-      log_tokens_(std::move(log_tokens)),
-      coordination_(std::move(coordination)),
-      clock_(std::move(clock)),
-      signer_(std::move(resumed_signer)) {
+      signer_(std::move(signer)) {
   next_seq_ = signer_.count();
 }
 
@@ -169,6 +198,14 @@ LogService::Prepared LogService::prepare(const std::string& path,
   return p;
 }
 
+Status LogService::record_intent(const LogRecord& record, obs::Span& span,
+                                 sim::SimClock::Micros* delay) {
+  auto recorded = journal_->record(record);
+  *delay += recorded.delay;
+  span.charge_child(static_cast<std::uint64_t>(recorded.delay));
+  return std::move(recorded.value);
+}
+
 sim::Timed<Status> LogService::journal_intent(const std::string& path,
                                               const Bytes& old_content,
                                               const Bytes& new_content,
@@ -182,14 +219,12 @@ sim::Timed<Status> LogService::journal_intent(const std::string& path,
   obs::Span span = obs::tracer().span("log.intent");
   sim::SimClock::Micros delay = 0;
   prepared_ = prepare(path, old_content, new_content, version, op, fence_epoch, &delay);
-  auto recorded = journal_->record(prepared_.record);
-  delay += recorded.delay;
-  span.charge_child(static_cast<std::uint64_t>(recorded.delay));
+  Status recorded = record_intent(prepared_.record, span, &delay);
   span.set_duration(static_cast<std::uint64_t>(delay));
-  if (!recorded.value.ok()) {
+  if (!recorded.ok()) {
     prepared_ = Prepared{};
-    span.set_outcome(recorded.value.code());
-    return {std::move(recorded.value), delay};
+    span.set_outcome(recorded.code());
+    return {std::move(recorded), delay};
   }
   maybe_crash(sim::CrashPoint::kAfterLogIntent);
   return {Status::Ok(), delay};
@@ -202,6 +237,21 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
   obs::Span span = obs::tracer().span("log.append");
   sim::SimClock::Micros delay = 0;
   auto& reg = obs::metrics();
+  const auto charge = [&](sim::SimClock::Micros child) {
+    delay += child;
+    span.charge_child(static_cast<std::uint64_t>(child));
+  };
+  // The one exit: stamps the span's duration and, on failure, its outcome
+  // and `counter` (a fenced append counts apart from the errors).
+  const auto leave = [&](Status status,
+                         const char* counter = "log.append.errors") -> sim::Timed<Status> {
+    span.set_duration(static_cast<std::uint64_t>(delay));
+    if (!status.ok()) {
+      span.set_outcome(status.code());
+      reg.counter(counter).add();
+    }
+    return {std::move(status), delay};
+  };
 
   // 0. Reuse the intent journaled by the close path when it matches this
   // append; otherwise prepare (and, with a journal attached, persist the
@@ -210,19 +260,12 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
   if (prepared_.valid && prepared_.record.path == path &&
       prepared_.record.version == version && prepared_.record.op == op &&
       prepared_.record.fence_epoch == fence_epoch) {
-    prepared = std::move(prepared_);
-    prepared_ = Prepared{};
+    prepared = std::exchange(prepared_, Prepared{});
   } else {
     prepared = prepare(path, old_content, new_content, version, op, fence_epoch, &delay);
     if (journal_) {
-      auto recorded = journal_->record(prepared.record);
-      delay += recorded.delay;
-      span.charge_child(static_cast<std::uint64_t>(recorded.delay));
-      if (!recorded.value.ok()) {
-        span.set_duration(static_cast<std::uint64_t>(delay));
-        span.set_outcome(recorded.value.code());
-        reg.counter("log.append.errors").add();
-        return {std::move(recorded.value), delay};
+      if (Status recorded = record_intent(prepared.record, span, &delay); !recorded.ok()) {
+        return leave(std::move(recorded));
       }
       maybe_crash(sim::CrashPoint::kAfterLogIntent);
     }
@@ -230,32 +273,36 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
   LogRecord& record = prepared.record;
   const Bytes& payload = prepared.payload;
 
+  const auto read_fence = [&] {
+    auto fence = scfs::read_fence_epoch(*coordination_, path);
+    charge(fence.delay);
+    return std::move(fence.value);
+  };
+  // The path's lease moved past the writer's fence: drop the intent and log
+  // the path's next append whole-file.
+  const auto fenced = [&](std::string why) {
+    if (journal_) delay += journal_->clear(record.seq).delay;
+    mark_divergent(path);
+    return leave(Status{ErrorCode::kFenced, std::move(why)}, "log.append.fenced");
+  };
+  // One read settles whether the slot already holds this entry's payload.
+  const auto adopt_slot = [&] {
+    auto existing = storage_->read(log_tokens_, record.data_unit());
+    charge(existing.delay);
+    const bool adopted = existing.value.ok() && record.matches_payload(*existing.value);
+    if (adopted) reg.counter("log.append.adopted").add();
+    return adopted;
+  };
+
   // Fence pre-flight (scfs/lease.h): an append whose fence epoch is below
   // the path's current lease epoch comes from an evicted session. Refuse it
   // before any cloud object exists — the slot stays pristine and reusable.
   if (record.fence_epoch != scfs::kNoFenceEpoch) {
-    auto fence = scfs::read_fence_epoch(*coordination_, path);
-    delay += fence.delay;
-    span.charge_child(static_cast<std::uint64_t>(fence.delay));
-    if (!fence.value.ok()) {
-      span.set_duration(static_cast<std::uint64_t>(delay));
-      span.set_outcome(fence.value.code());
-      reg.counter("log.append.errors").add();
-      return {Status{fence.value.error()}, delay};
-    }
-    if (*fence.value > record.fence_epoch) {
-      if (journal_) {
-        auto cleared = journal_->clear(record.seq);
-        delay += cleared.delay;
-      }
-      mark_divergent(path);
-      reg.counter("log.append.fenced").add();
-      span.set_duration(static_cast<std::uint64_t>(delay));
-      span.set_outcome(ErrorCode::kFenced);
-      return {Status{ErrorCode::kFenced, "log append fenced: " + path + " epoch " +
-                                             std::to_string(record.fence_epoch) + " < " +
-                                             std::to_string(*fence.value)},
-              delay};
+    auto fence = read_fence();
+    if (!fence.ok()) return leave(Status{fence.error()});
+    if (*fence > record.fence_epoch) {
+      return fenced("log append fenced: " + path + " epoch " +
+                    std::to_string(record.fence_epoch) + " < " + std::to_string(*fence));
     }
   }
 
@@ -267,39 +314,12 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
   // per cloud — all supplied by DepSky CA — uploaded under t_l. A retry
   // after kPartialCommit knows the slot already holds the durable payload
   // and adopts it instead of re-writing into the append-only namespace.
-  bool need_upload = true;
-  if (record.seq == pending_retry_seq_) {
-    auto existing = storage_->read(log_tokens_, record.data_unit());
-    delay += existing.delay;
-    span.charge_child(static_cast<std::uint64_t>(existing.delay));
-    if (existing.value.ok() && existing.value->size() == record.payload_size &&
-        ct_equal(crypto::sha256(*existing.value), record.payload_hash)) {
-      need_upload = false;
-      reg.counter("log.append.adopted").add();
-    }
-  }
-  if (need_upload) {
+  if (record.seq != pending_retry_seq_ || !adopt_slot()) {
     auto upload = storage_->write(log_tokens_, record.data_unit(), payload);
-    delay += upload.delay;
-    span.charge_child(static_cast<std::uint64_t>(upload.delay));
-    if (!upload.value.ok()) {
-      // The write may have failed only at the metadata step while the entry
-      // is in fact durable (e.g. a concurrent earlier attempt finished it):
-      // one read settles whether the slot can be adopted.
-      auto existing = storage_->read(log_tokens_, record.data_unit());
-      delay += existing.delay;
-      span.charge_child(static_cast<std::uint64_t>(existing.delay));
-      const bool adopted = existing.value.ok() &&
-                           existing.value->size() == record.payload_size &&
-                           ct_equal(crypto::sha256(*existing.value), record.payload_hash);
-      if (!adopted) {
-        span.set_duration(static_cast<std::uint64_t>(delay));
-        span.set_outcome(upload.value.code());
-        reg.counter("log.append.errors").add();
-        return {std::move(upload.value), delay};
-      }
-      reg.counter("log.append.adopted").add();
-    }
+    charge(upload.delay);
+    // The write may have failed only at the metadata step while the entry
+    // is in fact durable (e.g. a concurrent earlier attempt finished it).
+    if (!upload.value.ok() && !adopt_slot()) return leave(std::move(upload.value));
   }
   maybe_crash(sim::CrashPoint::kAfterLogPayloadPut);
 
@@ -308,32 +328,18 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
   // the slot cannot be reused (append-only namespace) — skip it; the audit
   // tolerates the gap and the next write of the path goes whole-file.
   if (record.fence_epoch != scfs::kNoFenceEpoch) {
-    auto fence = scfs::read_fence_epoch(*coordination_, path);
-    delay += fence.delay;
-    span.charge_child(static_cast<std::uint64_t>(fence.delay));
-    if (!fence.value.ok()) {
+    auto fence = read_fence();
+    if (!fence.ok()) {
       // Fail closed: the epoch cannot be proved fresh, so the entry must not
       // enter the chain. The payload is durable — remember the slot so the
       // caller's retry adopts it instead of re-uploading.
       pending_retry_seq_ = record.seq;
-      span.set_duration(static_cast<std::uint64_t>(delay));
-      span.set_outcome(fence.value.code());
-      reg.counter("log.append.errors").add();
-      return {Status{fence.value.error()}, delay};
+      return leave(Status{fence.error()});
     }
-    if (*fence.value > record.fence_epoch) {
+    if (*fence > record.fence_epoch) {
       next_seq_ = record.seq + 1;
       pending_retry_seq_ = kNoPendingRetry;
-      mark_divergent(path);
-      if (journal_) {
-        auto cleared = journal_->clear(record.seq);
-        delay += cleared.delay;
-      }
-      reg.counter("log.append.fenced").add();
-      span.set_duration(static_cast<std::uint64_t>(delay));
-      span.set_outcome(ErrorCode::kFenced);
-      return {Status{ErrorCode::kFenced, "log append fenced post-upload: " + path},
-              delay};
+      return fenced("log append fenced post-upload: " + path);
     }
   }
 
@@ -347,16 +353,12 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
   // the two tuple operations are processed in parallel by the service
   // (§6.1 optimization (1)).
   auto committed = commit_log_record(*coordination_, record, sealed, crash_.get());
-  delay += committed.delay;
-  span.charge_child(static_cast<std::uint64_t>(committed.delay));
-  span.set_duration(static_cast<std::uint64_t>(delay));
+  charge(committed.delay);
   if (!committed.value.ok()) {
     // Payload durable, metadata not (fully) committed: remember the slot so
     // the caller's retry adopts it, and surface the distinct status.
     pending_retry_seq_ = record.seq;
-    span.set_outcome(committed.value.code());
-    reg.counter("log.append.errors").add();
-    return {std::move(committed.value), delay};
+    return leave(std::move(committed.value));
   }
 
   signer_ = std::move(sealed);
@@ -367,10 +369,9 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
     // The intent is now redundant (the record tuple covers it). Clearing is
     // fire-and-forget background work: a failure only costs a no-op
     // "committed" classification at the next replay.
-    auto cleared = journal_->clear(record.seq);
-    (void)cleared;
+    (void)journal_->clear(record.seq);
   }
-  return {Status::Ok(), delay};
+  return leave(Status::Ok());
 }
 
 sim::Timed<Status> commit_log_record(coord::CoordinationService& coord,
@@ -384,15 +385,11 @@ sim::Timed<Status> commit_log_record(coord::CoordinationService& coord,
     obs::Span group = obs::tracer().span("log.coord", {.fanout = true});
     // Seq-keyed replace: re-committing the same record after a partial
     // failure rewrites the identical tuple instead of duplicating it.
-    auto meta = coord.replace(
-        coord::Template::of({kRecordTag, record.user, padded_seq(record.seq), "*", "*",
-                             "*", "*", "*", "*", "*", "*", "*", "*"}),
-        record.to_tuple());
+    auto meta = coord.replace(log_pattern(LogTuple::kRecord, record.user, record.seq),
+                              record.to_tuple());
     if (crash) crash->maybe_crash(sim::CrashPoint::kAfterMetaAppend);
-    auto agg = coord.replace(
-        coord::Template::of({kAggregateTag, record.user, "*", "*", "*"}),
-        {kAggregateTag, record.user, hex_encode(signer.aggregate_a()),
-         hex_encode(signer.aggregate_b()), std::to_string(signer.count())});
+    auto agg = coord.replace(aggregate_pattern(record.user),
+                             aggregate_tuple(record.user, signer));
     coord_delay = std::max(meta.delay, agg.delay);
     group.set_duration(static_cast<std::uint64_t>(coord_delay));
     if (!meta.value.ok()) meta_status = Status{meta.value.error()};
@@ -435,7 +432,7 @@ Result<Bytes> unwrap_log_payload(BytesView payload) {
 
 sim::Timed<Result<StoredAggregates>> read_aggregates(coord::CoordinationService& coord,
                                                      const std::string& user) {
-  auto r = coord.rdp(coord::Template::of({kAggregateTag, user, "*", "*", "*"}));
+  auto r = coord.rdp(aggregate_pattern(user));
   if (!r.value.ok()) return {Error{r.value.error()}, r.delay};
   if (!r.value->has_value()) {
     return {Error{ErrorCode::kNotFound, "no aggregates for user " + user}, r.delay};
@@ -514,14 +511,13 @@ std::unique_ptr<LogService> make_resumed_log_service(
 }
 
 sim::Timed<Result<std::vector<LogRecord>>> read_log_records(
-    coord::CoordinationService& coord, const std::string& user) {
-  auto all = coord.rdall(coord::Template::of(
-      {kRecordTag, user, "*", "*", "*", "*", "*", "*", "*", "*", "*", "*", "*"}));
+    coord::CoordinationService& coord, const std::string& user, LogTuple kind) {
+  auto all = coord.rdall(log_pattern(kind, user));
   if (!all.value.ok()) return {Error{all.value.error()}, all.delay};
   std::vector<LogRecord> records;
   records.reserve(all.value->size());
   for (const auto& t : *all.value) {
-    auto r = LogRecord::from_tuple(t);
+    auto r = parse_log_tuple(kind, t);
     if (!r.ok()) return {Error{r.error()}, all.delay};
     records.push_back(std::move(*r));
   }

@@ -16,10 +16,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
-
-#include <set>
 
 #include "common/result.h"
 #include "coord/service.h"
@@ -29,6 +29,10 @@
 #include "scfs/lease.h"
 #include "sim/faults.h"
 #include "sim/timed.h"
+
+namespace rockfs::obs {
+class Span;
+}  // namespace rockfs::obs
 
 namespace rockfs::core {
 
@@ -60,28 +64,45 @@ struct LogRecord {
   /// Canonical bytes MACed by FssAgg (everything except the tag).
   Bytes mac_payload() const;
 
+  /// The committed record tuple (LogTuple::kRecord).
   coord::Tuple to_tuple() const;
   static Result<LogRecord> from_tuple(const coord::Tuple& t);
 
   /// DepSky unit name of the data half.
   std::string data_unit() const;
+
+  /// The adoption rule for a data half: `payload` is this entry's ld_fu iff
+  /// its size and SHA-256 match the (MAC-covered) size and digest.
+  bool matches_payload(BytesView payload) const;
 };
+
+/// The chain's two per-entry tuple kinds in the coordination service. Both
+/// are the kind's tag, then the same ten fields (user, zero-padded seq, path,
+/// version, op, whole_file, payload size, hex payload digest, timestamp,
+/// epoch), then the committed record's two FssAgg MACs or the journal
+/// intent's fence epoch (journal.h).
+enum class LogTuple { kRecord, kIntent };
+coord::Tuple log_tuple(LogTuple kind, const LogRecord& r);
+Result<LogRecord> parse_log_tuple(LogTuple kind, const coord::Tuple& t);
+/// Matches `user`'s tuples of `kind` at `seq`, or at every seq when empty.
+coord::Template log_pattern(LogTuple kind, const std::string& user,
+                            std::optional<std::uint64_t> seq = std::nullopt);
+
+/// The replicated running aggregates of `user`'s chain:
+/// ("rockagg", user, hex A, hex B, entry count).
+coord::Template aggregate_pattern(const std::string& user);
+coord::Tuple aggregate_tuple(const std::string& user, const fssagg::FssAggSigner& signer);
 
 /// Writer side, embedded in the RockFS agent. Holds the evolving FssAgg
 /// signer state in RAM only.
 class LogService {
  public:
+  /// Starts (a fresh signer) or resumes (one rebuilt from the stored
+  /// aggregates, make_resumed_log_service) the user's chain.
   LogService(std::string user_id, std::shared_ptr<depsky::DepSkyClient> storage,
              std::vector<cloud::AccessToken> log_tokens,
              std::shared_ptr<coord::CoordinationService> coordination,
-             sim::SimClockPtr clock, fssagg::FssAggKeys initial_keys);
-
-  /// Resumes an existing chain (signer state rebuilt from the stored
-  /// aggregates and the key evolved `count` times from the initial keys).
-  LogService(std::string user_id, std::shared_ptr<depsky::DepSkyClient> storage,
-             std::vector<cloud::AccessToken> log_tokens,
-             std::shared_ptr<coord::CoordinationService> coordination,
-             sim::SimClockPtr clock, fssagg::FssAggSigner resumed_signer);
+             sim::SimClockPtr clock, fssagg::FssAggSigner signer);
 
   ~LogService();
 
@@ -140,11 +161,6 @@ class LogService {
     return divergent_paths_;
   }
 
-  /// Tuple tag used for log metadata ("rocklog").
-  static const char* record_tag();
-  /// Tuple tag used for the replicated aggregates ("rockagg").
-  static const char* aggregate_tag();
-
   /// Enables LZ compression of ld_fu payloads (paper §6.2 future work).
   /// Compression is applied only when it actually shrinks the payload.
   void set_compression(bool enabled) noexcept { compress_ = enabled; }
@@ -162,6 +178,11 @@ class LogService {
                    const Bytes& new_content, std::uint64_t version,
                    const std::string& op, std::uint64_t fence_epoch,
                    sim::SimClock::Micros* delay);
+  /// Persists `record`'s write-ahead intent (journal attached), charging the
+  /// coordination round to `span` and *delay. Shared by journal_intent and
+  /// append's inline fallback; the caller fires kAfterLogIntent on success.
+  Status record_intent(const LogRecord& record, obs::Span& span,
+                       sim::SimClock::Micros* delay);
   void maybe_crash(sim::CrashPoint point) {
     if (crash_) crash_->maybe_crash(point);
   }
@@ -242,8 +263,10 @@ struct StoredAggregates {
 sim::Timed<Result<StoredAggregates>> read_aggregates(coord::CoordinationService& coord,
                                                      const std::string& user);
 
-/// Reads all of `user`'s log records ordered by seq (does not verify).
+/// Reads all of `user`'s log records (or, with kIntent, pending journal
+/// intents) ordered by seq (does not verify).
 sim::Timed<Result<std::vector<LogRecord>>> read_log_records(
-    coord::CoordinationService& coord, const std::string& user);
+    coord::CoordinationService& coord, const std::string& user,
+    LogTuple kind = LogTuple::kRecord);
 
 }  // namespace rockfs::core

@@ -7,19 +7,11 @@
 
 #include "common/logging.h"
 #include "crypto/drbg.h"
-#include "crypto/sha256.h"
+#include "scfs/scfs.h"
 
 namespace rockfs::core {
 
 namespace {
-
-// Tuple layout mirrored from scfs.cpp (the recovery service updates the
-// file's inode after re-uploading it).
-constexpr const char* kInodeTag = "scfs-inode";
-
-coord::Template inode_pattern(const std::string& path) {
-  return coord::Template::of({kInodeTag, path, "*", "*", "*", "*", "*"});
-}
 
 // Local patch-application throughput (client CPU), for MTTR realism.
 constexpr double kPatchBytesPerSec = 400e6;
@@ -27,6 +19,42 @@ constexpr double kPatchBytesPerSec = 400e6;
 sim::SimClock::Micros patch_cost(std::size_t bytes) {
   return 200 + static_cast<sim::SimClock::Micros>(1e6 * static_cast<double>(bytes) /
                                                   kPatchBytesPerSec);
+}
+
+// The step every chain audit shares: stored records + aggregates → LogAudit.
+// A chain with neither is trivially clean. Otherwise the records are
+// FssAgg-verified from `keys`, switching keys at the rotations `rotations`
+// returns (asked only once the aggregates exist), and each per-entry MAC
+// failure's seq is discarded.
+Result<LogAudit> verify_chain(
+    std::vector<LogRecord> records, const Result<StoredAggregates>& aggregates,
+    const fssagg::FssAggKeys& keys,
+    const std::function<Result<std::vector<fssagg::FssAggRotation>>(
+        const std::vector<LogRecord>&)>& rotations) {
+  LogAudit audit;
+  audit.records = std::move(records);
+  if (!aggregates.ok()) {
+    if (audit.records.empty() && aggregates.code() == ErrorCode::kNotFound) {
+      audit.report.ok = true;
+      return audit;
+    }
+    return Error{aggregates.error()};
+  }
+  std::vector<fssagg::FssAggRotation> switches;
+  if (rotations) {
+    auto found = rotations(audit.records);
+    if (!found.ok()) return Error{found.error()};
+    switches = std::move(*found);
+  }
+  std::vector<fssagg::TaggedEntry> tagged;
+  tagged.reserve(audit.records.size());
+  for (const auto& r : audit.records) tagged.push_back({r.mac_payload(), r.tag});
+  audit.report = fssagg::fssagg_verify_rotated(keys, switches, tagged, aggregates->agg_a,
+                                               aggregates->agg_b, aggregates->count);
+  for (const std::size_t idx : audit.report.corrupt_entries) {
+    audit.discarded_seqs.insert(audit.records[idx].seq);
+  }
+  return audit;
 }
 
 }  // namespace
@@ -67,24 +95,8 @@ Result<LogAudit> RecoveryService::audit_admin_log() {
   auto records = read_log_records(*coordination_, "admin:" + user_id_);
   auto aggregates = read_aggregates(*coordination_, "admin:" + user_id_);
   clock_->advance_us(records.delay + aggregates.delay);
-  LogAudit audit;
   if (!records.value.ok()) return Error{records.value.error()};
-  audit.records = std::move(*records.value);
-  if (!aggregates.value.ok()) {
-    if (audit.records.empty() && aggregates.value.code() == ErrorCode::kNotFound) {
-      audit.report.ok = true;
-      return audit;
-    }
-    return Error{aggregates.value.error()};
-  }
-  std::vector<fssagg::TaggedEntry> tagged;
-  for (const auto& r : audit.records) tagged.push_back({r.mac_payload(), r.tag});
-  audit.report = fssagg::fssagg_verify(admin_chain_keys_, tagged, aggregates.value->agg_a,
-                                       aggregates.value->agg_b, aggregates.value->count);
-  for (const std::size_t idx : audit.report.corrupt_entries) {
-    audit.discarded_seqs.insert(audit.records[idx].seq);
-  }
-  return audit;
+  return verify_chain(std::move(*records.value), aggregates.value, admin_chain_keys_, {});
 }
 
 RecoveryService::SnapshotBaseline RecoveryService::load_snapshot(
@@ -102,8 +114,7 @@ RecoveryService::SnapshotBaseline RecoveryService::load_snapshot(
   if (snap == nullptr) return baseline;
   auto payload = storage_->read(config_.admin_tokens, snap->data_unit());
   *delay += payload.delay;
-  if (!payload.value.ok()) return baseline;
-  if (!ct_equal(crypto::sha256(*payload.value), snap->payload_hash)) return baseline;
+  if (!payload.value.ok() || !snap->matches_payload(*payload.value)) return baseline;
   auto unwrapped = unwrap_log_payload(*payload.value);
   if (!unwrapped.ok()) return baseline;
   auto delta = diff::LogDelta::deserialize(*unwrapped);
@@ -139,83 +150,66 @@ Result<LogAudit> RecoveryService::audit_chain(const std::string& chain_user,
   span.charge_child(static_cast<std::uint64_t>(aggregates.delay));
   span.set_duration(static_cast<std::uint64_t>(delay));
   clock_->advance_us(delay);
+  return verify_chain(std::move(*records.value), aggregates.value, chain_keys,
+                      [&](const std::vector<LogRecord>& stored) {
+                        return chain_rotations(chain_user, stored);
+                      });
+}
 
-  LogAudit audit;
-  audit.records = std::move(*records.value);
-
-  if (!aggregates.value.ok()) {
-    if (audit.records.empty() && aggregates.value.code() == ErrorCode::kNotFound) {
-      // No log at all: trivially clean.
-      audit.report.ok = true;
-      return audit;
-    }
-    return Error{aggregates.value.error()};
-  }
-
+Result<std::vector<fssagg::FssAggRotation>> RecoveryService::chain_rotations(
+    const std::string& chain_user, const std::vector<LogRecord>& records) {
   // Keystore rotations: the chain may span key changes. Each "rotate" record
   // must be vouched for by a signature-valid, admin-signed manifest AND map
   // to fresh keys the admin actually stored — anything less fails the audit
   // fail-closed (an attacker with stolen pre-rotation tokens can append a
   // fake rotate record but can never produce the admin signature for it).
   std::vector<fssagg::FssAggRotation> rotations;
-  {
-    auto manifests = read_rotation_manifests(*coordination_, chain_user);
-    clock_->advance_us(manifests.delay);
-    if (!manifests.value.ok()) return Error{manifests.value.error()};
-    const std::vector<ChainRotationKeys>* known = nullptr;
-    if (chain_user == user_id_) {
-      known = &config_.chain_rotations;
-    } else if (const auto it = config_.peer_chain_rotations.find(chain_user);
-               it != config_.peer_chain_rotations.end()) {
-      known = &it->second;
+  auto manifests = read_rotation_manifests(*coordination_, chain_user);
+  clock_->advance_us(manifests.delay);
+  if (!manifests.value.ok()) return Error{manifests.value.error()};
+  const std::vector<ChainRotationKeys>* known = nullptr;
+  if (chain_user == user_id_) {
+    known = &config_.chain_rotations;
+  } else if (const auto it = config_.peer_chain_rotations.find(chain_user);
+             it != config_.peer_chain_rotations.end()) {
+    known = &it->second;
+  }
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const LogRecord& r = records[i];
+    if (r.op != rotation_record_op()) continue;
+    const RotationManifest* m = nullptr;
+    for (const auto& cand : *manifests.value) {
+      if (cand.rotation_epoch == r.version) {
+        m = &cand;
+        break;
+      }
     }
-    for (std::size_t i = 0; i < audit.records.size(); ++i) {
-      const LogRecord& r = audit.records[i];
-      if (r.op != rotation_record_op()) continue;
-      const RotationManifest* m = nullptr;
-      for (const auto& cand : *manifests.value) {
-        if (cand.rotation_epoch == r.version) {
-          m = &cand;
+    if (m == nullptr || m->at_seq != r.seq || config_.admin_public_key.empty() ||
+        !verify_rotation_manifest(*m, config_.admin_public_key)) {
+      return Error{ErrorCode::kIntegrity,
+                   "audit: rotate record without a valid admin-signed manifest (" +
+                       chain_user + " seq " + std::to_string(r.seq) + ")"};
+    }
+    const ChainRotationKeys* fresh = nullptr;
+    if (known != nullptr) {
+      for (const auto& k : *known) {
+        if (k.rotation_epoch == m->rotation_epoch && manifest_matches_keys(*m, k.keys)) {
+          fresh = &k;
           break;
         }
       }
-      if (m == nullptr || m->at_seq != r.seq || config_.admin_public_key.empty() ||
-          !verify_rotation_manifest(*m, config_.admin_public_key)) {
-        return Error{ErrorCode::kIntegrity,
-                     "audit: rotate record without a valid admin-signed manifest (" +
-                         chain_user + " seq " + std::to_string(r.seq) + ")"};
-      }
-      const ChainRotationKeys* fresh = nullptr;
-      if (known != nullptr) {
-        for (const auto& k : *known) {
-          if (k.rotation_epoch == m->rotation_epoch && manifest_matches_keys(*m, k.keys)) {
-            fresh = &k;
-            break;
-          }
-        }
-      }
-      if (fresh == nullptr) {
-        return Error{ErrorCode::kIntegrity,
-                     "audit: no stored keys match rotation manifest of " + chain_user +
-                         " (epoch " + std::to_string(m->rotation_epoch) + ")"};
-      }
-      // The rotate record itself is MAC'd under the outgoing stream; the
-      // fresh stream starts at the next chain index (== vector position + 1,
-      // since MAC indices count committed entries, not raw seqs).
-      rotations.push_back({i + 1, fresh->keys});
     }
+    if (fresh == nullptr) {
+      return Error{ErrorCode::kIntegrity,
+                   "audit: no stored keys match rotation manifest of " + chain_user +
+                       " (epoch " + std::to_string(m->rotation_epoch) + ")"};
+    }
+    // The rotate record itself is MAC'd under the outgoing stream; the
+    // fresh stream starts at the next chain index (== vector position + 1,
+    // since MAC indices count committed entries, not raw seqs).
+    rotations.push_back({i + 1, fresh->keys});
   }
-
-  std::vector<fssagg::TaggedEntry> tagged;
-  tagged.reserve(audit.records.size());
-  for (const auto& r : audit.records) tagged.push_back({r.mac_payload(), r.tag});
-  audit.report =
-      fssagg::fssagg_verify_rotated(chain_keys, rotations, tagged, aggregates.value->agg_a,
-                                    aggregates.value->agg_b, aggregates.value->count);
-  for (const std::size_t idx : audit.report.corrupt_entries) {
-    audit.discarded_seqs.insert(audit.records[idx].seq);
-  }
-  return audit;
+  return rotations;
 }
 
 Result<LogAudit> RecoveryService::audit_intact_log() {
@@ -283,7 +277,7 @@ void RecoveryService::replay(const std::vector<const LogRecord*>& entries, Bytes
     }
     download_delays.push_back(payload.delay);
     // Cross-check the data half against the MAC-verified metadata.
-    if (!payload.value.ok() || !ct_equal(crypto::sha256(*payload.value), r->payload_hash)) {
+    if (!payload.value.ok() || !r->matches_payload(*payload.value)) {
       ++result->skipped_invalid;
       continue;
     }
@@ -322,9 +316,8 @@ void RecoveryService::replay(const std::vector<const LogRecord*>& entries, Bytes
 
 Status RecoveryService::commit_recovered(const std::string& path, const Bytes& content,
                                          sim::SimClock::Micros* delay) {
-  // Step 5: push the recovered version back and bump the inode. The unit
-  // namespace is flat ("files" + path): files are shared, not per-user.
-  const std::string unit = "files" + path;
+  // Step 5: push the recovered version back and bump the inode.
+  const std::string unit = scfs::file_unit(path);
   auto up = storage_->write(config_.admin_tokens, unit, content);
   *delay += up.delay;
   if (!up.value.ok()) return Status{up.value.error()};
@@ -337,9 +330,12 @@ Status RecoveryService::commit_recovered(const std::string& path, const Bytes& c
   *delay += fence.delay;
   const std::uint64_t epoch = fence.value.ok() ? *fence.value : 0;
   auto meta = coordination_->replace(
-      inode_pattern(path),
-      {kInodeTag, path, std::to_string(version), std::to_string(content.size()),
-       user_id_, std::to_string(clock_->now_us()), std::to_string(epoch)});
+      scfs::inode_pattern(path), scfs::inode_tuple({.path = path,
+                                                    .version = version,
+                                                    .size = content.size(),
+                                                    .owner = user_id_,
+                                                    .modified_us = clock_->now_us(),
+                                                    .epoch = epoch}));
   *delay += meta.delay;
   if (!meta.value.ok()) return Status{meta.value.error()};
 
@@ -347,6 +343,16 @@ Status RecoveryService::commit_recovered(const std::string& path, const Bytes& c
   auto logged = recovery_log_->append(path, {}, content, version, "recover");
   *delay += logged.delay;
   return logged.value;
+}
+
+void RecoveryService::finish_recovery(obs::Span& span, sim::SimClock::Micros start,
+                                      sim::SimClock::Micros delay, std::size_t files) {
+  clock_->advance_us(delay);
+  last_recovery_us_ = clock_->now_us() - start;
+  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
+  obs::metrics().counter("recovery.files_recovered").add(files);
+  obs::metrics().histogram("recovery.mttr_us").record(
+      static_cast<std::uint64_t>(last_recovery_us_));
 }
 
 Result<FileRecovery> RecoveryService::recover_file(const std::string& path,
@@ -358,12 +364,7 @@ Result<FileRecovery> RecoveryService::recover_file(const std::string& path,
   if (!audit.ok()) return Error{audit.error()};
   sim::SimClock::Micros delay = 0;
   auto result = recover_one(*audit, path, malicious, &delay);
-  clock_->advance_us(delay);
-  last_recovery_us_ = clock_->now_us() - start;
-  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
-  obs::metrics().counter("recovery.files_recovered").add();
-  obs::metrics().histogram("recovery.mttr_us").record(
-      static_cast<std::uint64_t>(last_recovery_us_));
+  finish_recovery(span, start, delay, 1);
   return result;
 }
 
@@ -383,12 +384,7 @@ Result<FileRecovery> RecoveryService::recover_file_at(const std::string& path,
   sim::SimClock::Micros delay = 0;
   auto result = recover_one(*audit, path, after_cutoff, &delay, /*apply=*/true,
                             /*use_snapshots=*/false);
-  clock_->advance_us(delay);
-  last_recovery_us_ = clock_->now_us() - start;
-  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
-  obs::metrics().counter("recovery.files_recovered").add();
-  obs::metrics().histogram("recovery.mttr_us").record(
-      static_cast<std::uint64_t>(last_recovery_us_));
+  finish_recovery(span, start, delay, 1);
   return result;
 }
 
@@ -482,13 +478,8 @@ Result<FileRecovery> RecoveryService::recover_shared_file(
     clock_->advance_us(delay);
     return Error{st.error()};
   }
-  clock_->advance_us(delay);
-  last_recovery_us_ = clock_->now_us() - start;
-  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
-  obs::metrics().counter("recovery.files_recovered").add();
+  finish_recovery(span, start, delay, 1);
   obs::metrics().counter("recovery.shared_recoveries").add();
-  obs::metrics().histogram("recovery.mttr_us").record(
-      static_cast<std::uint64_t>(last_recovery_us_));
   return result;
 }
 
@@ -529,7 +520,8 @@ Result<RecoveryService::CompactionReport> RecoveryService::compact_file(
   for (const LogRecord* r : entries) {
     bool archived_any = false;
     for (std::size_t i = 0; i < config_.admin_tokens.size(); ++i) {
-      const std::string key = r->data_unit() + ".v1.s" + std::to_string(i);
+      // A log unit is written once, so its shares are those of version 1.
+      const std::string key = depsky::DepSkyClient::share_key(r->data_unit(), 1, i);
       auto& cloud = *storage_->config().clouds[i];
       const std::uint64_t before = cloud.stored_bytes();
       auto archived = cloud.archive(config_.admin_tokens[i], key);
@@ -644,12 +636,7 @@ Result<std::vector<FileRecovery>> RecoveryService::recover_all(
   delay += marker.delay;
   if (!marker.value.ok()) return Error{marker.value.error()};
 
-  clock_->advance_us(delay);
-  last_recovery_us_ = clock_->now_us() - start;
-  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
-  obs::metrics().counter("recovery.files_recovered").add(results.size());
-  obs::metrics().histogram("recovery.mttr_us").record(
-      static_cast<std::uint64_t>(last_recovery_us_));
+  finish_recovery(span, start, delay, results.size());
   return results;
 }
 

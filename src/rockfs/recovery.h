@@ -183,6 +183,16 @@ class RecoveryService {
   /// recovery on the admin chain.
   Status commit_recovered(const std::string& path, const Bytes& content,
                           sim::SimClock::Micros* delay);
+  /// The key switches of `chain_user`'s keystore rotations: every rotate
+  /// record must match an admin-signed manifest and stored fresh keys, or
+  /// the audit fails with kIntegrity. Advances the clock by the lookup.
+  Result<std::vector<fssagg::FssAggRotation>> chain_rotations(
+      const std::string& chain_user, const std::vector<LogRecord>& records);
+  /// Epilogue of every recover_*: bills `delay`, then records the MTTR since
+  /// `start` in last_recovery_us_, the span, recovery.files_recovered (+=
+  /// `files`) and recovery.mttr_us.
+  void finish_recovery(obs::Span& span, sim::SimClock::Micros start,
+                       sim::SimClock::Micros delay, std::size_t files);
 
   std::string user_id_;
   RecoveryConfig config_;

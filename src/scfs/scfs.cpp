@@ -9,22 +9,11 @@ namespace rockfs::scfs {
 
 namespace {
 
-// Tuple layout for file metadata in the coordination service:
-//   ("scfs-inode", path, version, size, owner, modified_us, epoch)
-// The epoch field stamps each committed version with the fencing epoch of
-// the write that produced it (lease.h): recovery orders interleaved
-// multi-writer records by (version, epoch).
 constexpr const char* kInodeTag = "scfs-inode";
 
 // Local client-side costs, charged in both sync modes.
 constexpr sim::SimClock::Micros kLocalOpCostUs = 1'500;  // syscall + agent bookkeeping
 constexpr double kLocalDiskBytesPerSec = 150e6;          // cache (SSD) throughput
-
-coord::Tuple inode_tuple(const FileStat& s) {
-  return {kInodeTag,          s.path, std::to_string(s.version), std::to_string(s.size),
-          s.owner,            std::to_string(s.modified_us),
-          std::to_string(s.epoch)};
-}
 
 Result<FileStat> parse_inode(const coord::Tuple& t) {
   if (t.size() != 7 || t[0] != kInodeTag) {
@@ -44,10 +33,6 @@ Result<FileStat> parse_inode(const coord::Tuple& t) {
   return s;
 }
 
-coord::Template inode_pattern(const std::string& path) {
-  return coord::Template::of({kInodeTag, path, "*", "*", "*", "*", "*"});
-}
-
 /// Identity cache transform: what stock SCFS does (plaintext cache on disk).
 class PassthroughTransform final : public CacheTransform {
  public:
@@ -60,6 +45,18 @@ class PassthroughTransform final : public CacheTransform {
 };
 
 }  // namespace
+
+coord::Template inode_pattern(const std::string& path) {
+  return coord::Template::of({kInodeTag, path, "*", "*", "*", "*", "*"});
+}
+
+coord::Tuple inode_tuple(const FileStat& s) {
+  return {kInodeTag,          s.path, std::to_string(s.version), std::to_string(s.size),
+          s.owner,            std::to_string(s.modified_us),
+          std::to_string(s.epoch)};
+}
+
+std::string file_unit(const std::string& path) { return "files" + path; }
 
 Scfs::Scfs(std::shared_ptr<depsky::DepSkyClient> storage,
            std::vector<cloud::AccessToken> storage_tokens,
@@ -123,14 +120,6 @@ std::optional<Bytes> Scfs::cached_raw(const std::string& path) const {
 
 void Scfs::poke_cache(const std::string& path, Bytes raw) {
   if (cache_) cache_->poke_raw(path, std::move(raw));
-}
-
-std::string Scfs::unit_for(const std::string& path) const {
-  // One shared unit per path (paths start with "/"): SCFS is a SHARED
-  // namespace, so every client maps the same file to the same data unit.
-  // File tokens are namespace-scoped, not user-prefix-bound, so cross-user
-  // reads and writes authorize; DepSky readers trust the writer roster.
-  return "files" + path;
 }
 
 sim::SimClock::Micros Scfs::local_cost(std::size_t bytes) const {
@@ -306,7 +295,7 @@ Result<Scfs::Fd> Scfs::open(const std::string& path) {
     }
   }
   if (!loaded && st->version > 0) {
-    auto fetched = storage_->read(storage_tokens_, unit_for(path));
+    auto fetched = storage_->read(storage_tokens_, file_unit(path));
     delay += fetched.delay;
     if (!fetched.value.ok()) {
       clock_->advance_us(delay);
@@ -420,7 +409,7 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
   // delay; the overlapping children inside it are excluded from exclusive-
   // time sums.
   obs::Span pipeline_span = obs::tracer().span("scfs.upload_pipeline", {.fanout = true});
-  auto file_up = storage_->write(storage_tokens_, unit_for(job.path), job.content);
+  auto file_up = storage_->write(storage_tokens_, file_unit(job.path), job.content);
   if (!file_up.value.ok()) {
     pipeline_span.set_duration(static_cast<std::uint64_t>(file_up.delay));
     pipeline_span.set_outcome(file_up.value.code());
@@ -734,7 +723,7 @@ Status Scfs::unlink(const std::string& path) {
     cache_->note_missing(path, clock_->now_us());
   }
   if (st.ok() && st->version > 0) {
-    auto rm = storage_->remove(storage_tokens_, unit_for(path));
+    auto rm = storage_->remove(storage_tokens_, file_unit(path));
     delay += rm.delay;
     // A failed cloud delete leaves garbage but the file is gone from the
     // namespace; nothing to surface to the caller.
@@ -763,20 +752,20 @@ Status Scfs::rename(const std::string& from, const std::string& to) {
   // Move the data unit: read + write under the new name, then swap tuples.
   Bytes content;
   if (src->version > 0) {
-    auto fetched = storage_->read(storage_tokens_, unit_for(from));
+    auto fetched = storage_->read(storage_tokens_, file_unit(from));
     delay += fetched.delay;
     if (!fetched.value.ok()) {
       clock_->advance_us(delay);
       return Status{fetched.value.error()};
     }
     content = std::move(*fetched.value);
-    auto put = storage_->write(storage_tokens_, unit_for(to), content);
+    auto put = storage_->write(storage_tokens_, file_unit(to), content);
     delay += put.delay;
     if (!put.value.ok()) {
       clock_->advance_us(delay);
       return Status{put.value.error()};
     }
-    auto rm = storage_->remove(storage_tokens_, unit_for(from));
+    auto rm = storage_->remove(storage_tokens_, file_unit(from));
     delay += rm.delay;
   }
   auto taken = coordination_->inp(inode_pattern(from));
@@ -808,8 +797,7 @@ Result<FileStat> Scfs::stat(const std::string& path) {
 
 Result<std::vector<std::string>> Scfs::readdir(const std::string& prefix) {
   maybe_flush_due();
-  auto all = coordination_->rdall(
-      coord::Template::of({kInodeTag, "*", "*", "*", "*", "*", "*"}));
+  auto all = coordination_->rdall(inode_pattern("*"));
   clock_->advance_us(all.delay);
   if (!all.value.ok()) return Error{all.value.error()};
   std::vector<std::string> out;

@@ -74,6 +74,22 @@ struct FileStat {
   std::uint64_t epoch = 0;
 };
 
+/// A file's inode in the coordination service, one tuple per path:
+///   ("scfs-inode", path, version, size, owner, modified_us, epoch)
+/// The epoch field stamps each committed version with the fencing epoch of
+/// the write that produced it (lease.h): recovery orders interleaved
+/// multi-writer records by (version, epoch). inode_pattern("*") matches
+/// every inode.
+coord::Template inode_pattern(const std::string& path);
+coord::Tuple inode_tuple(const FileStat& s);
+
+/// DepSky unit of a file's data. One shared unit per path (paths start with
+/// "/"): SCFS is a SHARED namespace, so every client maps the same file to
+/// the same data unit. File tokens are namespace-scoped, not
+/// user-prefix-bound, so cross-user reads and writes authorize; DepSky
+/// readers trust the writer roster.
+std::string file_unit(const std::string& path);
+
 /// Parallel upload pipelines (file + log) share the client's physical uplink:
 /// this fraction of the smaller pipeline's time is serialized behind the
 /// larger one (the request/RTT components overlap fully; only the transfer
@@ -226,9 +242,6 @@ class Scfs {
   const std::vector<cloud::AccessToken>& storage_tokens() const noexcept {
     return storage_tokens_;
   }
-
-  /// DepSky unit name for a path (exposed for the recovery service).
-  std::string unit_for(const std::string& path) const;
 
  private:
   struct OpenFile {

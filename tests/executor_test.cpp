@@ -1,5 +1,5 @@
-// Executor subsystem tests: thread-pool basics (submit/Future, exception
-// propagation, drain-on-destruction), parallel_for_index slot semantics,
+// Executor subsystem tests: thread-pool basics (task results, exception
+// survival, drain-on-destruction), parallel_for_index slot semantics,
 // QuorumJoin in both modes (barrier and first-quorum freeze), cooperative
 // cancellation, and the straggler-lands-late property at the join level —
 // a result that arrives after the freeze is recorded but never included.
@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -30,19 +31,22 @@ TEST(ThreadPool, RunsSubmittedTasksAndReportsConcurrency) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.concurrency(), 4u);
 
-  std::vector<Future<int>> futures;
-  futures.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(futures[i].get(), i * i);
-  EXPECT_GE(pool.executed(), 64u);
+  std::vector<int> results(64, -1);
+  parallel_for_index(&pool, results.size(), [&](std::size_t i) {
+    results[i] = static_cast<int>(i * i);
+  });
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(results[i], i * i);
+  EXPECT_EQ(pool.executed(), 64u);
 }
 
 TEST(ThreadPool, ZeroThreadsDegradesToOneWorker) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.concurrency(), 1u);
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+  // The one worker runs the task (off the caller's thread).
+  std::promise<std::thread::id> ran_on;
+  pool.execute([&ran_on] { ran_on.set_value(std::this_thread::get_id()); });
+  EXPECT_NE(ran_on.get_future().get(), std::this_thread::get_id());
+  EXPECT_EQ(pool.executed(), 1u);
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedTasks) {
@@ -60,12 +64,18 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptionsThroughFuture) {
+TEST(ThreadPool, ThrowingBranchLeavesPoolUsable) {
   ThreadPool pool(2);
-  auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-  // The worker survives a throwing task.
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+  EXPECT_THROW(parallel_for_index(&pool, 2,
+                                  [](std::size_t i) {
+                                    if (i == 0) throw std::runtime_error("boom");
+                                  }),
+               std::runtime_error);
+  // Both workers survive the throwing branch and keep serving tasks.
+  std::vector<int> results(8, 0);
+  parallel_for_index(&pool, results.size(), [&](std::size_t i) { results[i] = 1; });
+  EXPECT_EQ(std::accumulate(results.begin(), results.end(), 0), 8);
+  EXPECT_EQ(pool.executed(), 10u);
 }
 
 TEST(InlineExecutor, RunsInCallerThreadImmediately) {
