@@ -4,6 +4,7 @@
 
 #include "common/hex.h"
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
 #include "secretshare/pvss.h"
 #include "secretshare/shamir.h"
 
@@ -295,6 +296,26 @@ TEST(Pvss, DecryptedShareSerializationRoundTrip) {
   const auto restored = PvssDecryptedShare::deserialize(share.serialize());
   ASSERT_TRUE(restored.ok());
   EXPECT_TRUE(pvss_verify_decrypted(deal, *restored, fx.public_keys[0]));
+}
+
+// A fixed-seed 3-of-4 deal and its decrypted shares, recorded from the
+// double-and-add implementation: commitments, encrypted shares, DLEQ proofs
+// and decryption proofs must stay byte-identical.
+TEST(Pvss, TranscriptMatchesRecorded) {
+  PvssFixture fx(4);
+  const PvssDeal deal = pvss_share(fx.secret, fx.public_keys, 3, fx.drbg);
+  EXPECT_EQ(hex_encode(crypto::sha256(deal.serialize())),
+            "6116fabc28ba8e76e430b7da79b5b5780dfecc7f2d8bc830f20565b39c0c6ea6");
+  Bytes decrypted;
+  for (std::size_t i = 1; i <= 4; ++i) {
+    const auto share = pvss_decrypt_share(deal, i, fx.participants[i - 1], fx.drbg);
+    ASSERT_TRUE(share.ok());
+    EXPECT_TRUE(pvss_verify_decrypted(deal, *share, fx.public_keys[i - 1]));
+    append(decrypted, share->serialize());
+  }
+  EXPECT_EQ(hex_encode(crypto::sha256(decrypted)),
+            "b817e00e4114721762c4c4ac9a4ae48770f0843a37236eba04c9ee920cef1cbe");
+  EXPECT_TRUE(pvss_verify_deal(deal, fx.public_keys));
 }
 
 TEST(Pvss, InvalidParameters) {
