@@ -1,5 +1,7 @@
 // The secp256k1 elliptic-curve group (y^2 = x^3 + 7 over F_p) with Jacobian
-// arithmetic. Used for asymmetric keys (Table 1 of the paper), Schnorr
+// arithmetic: a dedicated mod-p field, a fixed-base table for k*G and
+// Strauss–Shamir wNAF joint multiplication (crypto/secp256k1_ref.h keeps the
+// double-and-add reference the tests compare it with). Used for asymmetric keys (Table 1 of the paper), Schnorr
 // signatures (crypto/signature.*) and the PVSS scheme (secretshare/pvss.*).
 // Not constant-time: this is a research reproduction, not a wallet.
 #pragma once
@@ -29,10 +31,15 @@ const Point& generator();
 /// Group law.
 Point point_add(const Point& a, const Point& b);
 Point point_double(const Point& a);
-/// k*P via double-and-add. k is taken mod n implicitly by the caller's choice.
+/// k*P (k taken mod n) by width-5 wNAF; one inversion for the affine result.
 Point scalar_mul(const Uint256& k, const Point& p);
-/// k*G.
+/// k*G from the precomputed fixed-base table.
 Point scalar_mul_base(const Uint256& k);
+/// a*P + b*Q in one joint multiplication (one chain of doublings).
+Point scalar_mul_add(const Uint256& a, const Point& p, const Uint256& b, const Point& q);
+/// Whether a*P + b*Q == r, decided in Jacobian coordinates with no inversion.
+bool scalar_mul_add_equals(const Uint256& a, const Point& p, const Uint256& b,
+                           const Point& q, const Point& r);
 Point point_negate(const Point& a);
 
 /// Whether the point satisfies the curve equation (identity counts as valid).

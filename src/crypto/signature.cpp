@@ -1,8 +1,10 @@
 #include "crypto/signature.h"
 
+#include <optional>
 #include <stdexcept>
 
 #include "crypto/hmac.h"
+#include "crypto/secp256k1_ref.h"
 #include "crypto/sha256.h"
 
 namespace rockfs::crypto {
@@ -13,6 +15,28 @@ namespace {
 Uint256 challenge(const Point& r, const Point& pub, BytesView message) {
   const Bytes input = concat({point_encode(r), point_encode(pub), message});
   return scalar_from_bytes(sha256(input));
+}
+
+// A well-formed signature's R and s, with the challenge e it implies.
+struct Parsed {
+  Point r;
+  Uint256 s;
+  Uint256 e;
+};
+
+std::optional<Parsed> parse(const Point& public_key, BytesView message, BytesView signature) {
+  if (signature.size() != kSignatureSize) return std::nullopt;
+  Parsed out;
+  try {
+    out.r = point_decode(signature.subspan(0, 65));
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  if (out.r.infinity) return std::nullopt;
+  out.s = Uint256::from_bytes_be(signature.subspan(65, 32));
+  if (out.s >= curve_n()) return std::nullopt;
+  out.e = challenge(out.r, public_key, message);
+  return out;
 }
 
 }  // namespace
@@ -49,21 +73,10 @@ Bytes sign(const KeyPair& key, BytesView message) {
 }
 
 bool verify(const Point& public_key, BytesView message, BytesView signature) {
-  if (signature.size() != kSignatureSize) return false;
-  Point r;
-  try {
-    r = point_decode(signature.subspan(0, 65));
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  if (r.infinity) return false;
-  const Uint256 s = Uint256::from_bytes_be(signature.subspan(65, 32));
-  if (s >= curve_n()) return false;
-  const Uint256 e = challenge(r, public_key, message);
-  // Check s*G == R + e*P.
-  const Point lhs = scalar_mul_base(s);
-  const Point rhs = point_add(r, scalar_mul(e, public_key));
-  return lhs == rhs;
+  const auto sig = parse(public_key, message, signature);
+  // s*G == R + e*P, checked as s*G + (n-e)*P == R in one joint multiplication.
+  return sig && scalar_mul_add_equals(sig->s, generator(), scalar_sub(Uint256(), sig->e),
+                                      public_key, sig->r);
 }
 
 bool verify(BytesView public_key_bytes, BytesView message, BytesView signature) {
@@ -73,5 +86,15 @@ bool verify(BytesView public_key_bytes, BytesView message, BytesView signature) 
     return false;
   }
 }
+
+namespace detail {
+
+bool ref_verify(const Point& public_key, BytesView message, BytesView signature) {
+  const auto sig = parse(public_key, message, signature);
+  return sig && ref_scalar_mul_base(sig->s) ==
+                    ref_point_add(sig->r, ref_scalar_mul(sig->e, public_key));
+}
+
+}  // namespace detail
 
 }  // namespace rockfs::crypto

@@ -74,10 +74,8 @@ DleqProof dleq_prove_with_nonce(const Point& g1, const Point& h1, const Point& g
 bool dleq_verify(const Point& g1, const Point& h1, const Point& g2, const Point& h2,
                  const DleqProof& proof) {
   // a1' = r*g1 + c*h1, a2' = r*g2 + c*h2 must hash back to c.
-  const Point a1 = crypto::point_add(crypto::scalar_mul(proof.r, g1),
-                                     crypto::scalar_mul(proof.c, h1));
-  const Point a2 = crypto::point_add(crypto::scalar_mul(proof.r, g2),
-                                     crypto::scalar_mul(proof.c, h2));
+  const Point a1 = crypto::scalar_mul_add(proof.r, g1, proof.c, h1);
+  const Point a2 = crypto::scalar_mul_add(proof.r, g2, proof.c, h2);
   return dleq_challenge(g1, h1, g2, h2, a1, a2) == proof.c;
 }
 
