@@ -6,7 +6,9 @@
 // It is also a gate. It prints the kernel each dispatched primitive runs on
 // this host and exits nonzero when a hardware kernel misses its floor at
 // 1 MiB: AES-256-CTR >= 1 GB/s, SHA-256 >= 800 MB/s, RS 2-of-4 encode
-// >= 1 GB/s. A primitive running its portable kernel has no floor.
+// >= 1 GB/s. A primitive running its portable kernel has no floor. Schnorr
+// over secp256k1 has one implementation and always a floor: sign >= 16,000/s
+// and verify >= 5,000/s.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -14,6 +16,7 @@
 #include <malloc.h>
 #endif
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -112,6 +115,18 @@ void BM_DiffAppend30(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffAppend30)->Arg(1 << 20);
 
+// The Fig 5 update: a random 30% region of the file overwritten in place.
+void BM_DiffRewrite30(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Bytes base = make_data(n);
+  Bytes updated = base;
+  const Bytes fresh = Rng(7).next_bytes(n * 3 / 10);
+  std::copy(fresh.begin(), fresh.end(), updated.begin() + static_cast<std::ptrdiff_t>(n / 3));
+  for (auto _ : state) benchmark::DoNotOptimize(diff::encode(base, updated));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_DiffRewrite30)->Arg(1 << 20);
+
 void BM_Patch(benchmark::State& state) {
   const Bytes base = make_data(static_cast<std::size_t>(state.range(0)));
   Bytes updated = base;
@@ -135,6 +150,7 @@ void BM_SchnorrSign(benchmark::State& state) {
   const crypto::KeyPair kp = crypto::generate_keypair(drbg);
   const Bytes msg = make_data(256);
   for (auto _ : state) benchmark::DoNotOptimize(crypto::sign(kp, msg));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SchnorrSign);
 
@@ -144,6 +160,7 @@ void BM_SchnorrVerify(benchmark::State& state) {
   const Bytes msg = make_data(256);
   const Bytes sig = crypto::sign(kp, msg);
   for (auto _ : state) benchmark::DoNotOptimize(crypto::verify(kp.public_key, msg, sig));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SchnorrVerify);
 
@@ -201,8 +218,8 @@ void register_kernel_rows() {
   }
 }
 
-// Console output as usual (colour only on a terminal), plus the bytes/s of
-// every run for the gate.
+// Console output as usual (colour only on a terminal), plus the bytes/s and
+// items/s of every run for the gate.
 class RecordingReporter : public benchmark::ConsoleReporter {
  public:
   RecordingReporter() : ConsoleReporter(isatty(STDOUT_FILENO) ? OO_Defaults : OO_Tabular) {}
@@ -211,29 +228,32 @@ class RecordingReporter : public benchmark::ConsoleReporter {
       // Only fields that google-benchmark 1.7 and 1.8+ share: 1.8 replaced
       // Run::error_occurred with Run::skipped, and a skipped run has no
       // iterations.
-      const auto it = run.counters.find("bytes_per_second");
-      if (run.run_type == Run::RT_Iteration && run.iterations > 0 &&
-          it != run.counters.end()) {
-        bytes_per_second[run.benchmark_name()] = it->second.value;
+      if (run.run_type != Run::RT_Iteration || run.iterations <= 0) continue;
+      for (const char* counter : {"bytes_per_second", "items_per_second"}) {
+        const auto it = run.counters.find(counter);
+        if (it != run.counters.end()) rates[run.benchmark_name()][counter] = it->second.value;
       }
     }
     ConsoleReporter::ReportRuns(runs);
   }
-  std::map<std::string, double> bytes_per_second;
+  std::map<std::string, std::map<std::string, double>> rates;
 };
 
 struct Floor {
   const char* primitive;
   const char* benchmark;
-  const char* kernel;
-  bool hardware;  // the dispatched kernel is not the portable one, listed last
-  double min_bytes_per_second;
+  const char* kernel;  // nullptr: the primitive has one implementation
+  bool gated;          // false when the dispatched kernel is the portable one
+  bool per_item;       // floor in items/s rather than bytes/s
+  double min_rate;
 };
 
 template <typename K>
 Floor make_floor(const char* primitive, const char* benchmark, std::span<const K> kernels,
                  const K& chosen, double min_bytes_per_second) {
-  return {primitive, benchmark, chosen.name, &chosen != &kernels.back(), min_bytes_per_second};
+  // The portable kernel is listed last.
+  return {primitive, benchmark, chosen.name, &chosen != &kernels.back(), false,
+          min_bytes_per_second};
 }
 
 }  // namespace
@@ -262,8 +282,12 @@ int main(int argc, char** argv) {
                  crypto::detail::sha256_kernel(), 800e6),
       make_floor("rs_encode_2of4", "BM_RsEncode_2of4/1048576",
                  erasure::detail::mul_acc_kernels(), erasure::detail::mul_acc_kernel(), 1e9),
+      {"schnorr_sign", "BM_SchnorrSign", nullptr, true, true, 16000},
+      {"schnorr_verify", "BM_SchnorrVerify", nullptr, true, true, 5000},
   };
-  for (const Floor& f : floors) std::printf("kernel %s: %s\n", f.primitive, f.kernel);
+  for (const Floor& f : floors) {
+    if (f.kernel != nullptr) std::printf("kernel %s: %s\n", f.primitive, f.kernel);
+  }
   std::fflush(stdout);
 
   register_kernel_rows();
@@ -273,17 +297,27 @@ int main(int argc, char** argv) {
 
   int failures = 0;
   for (const Floor& f : floors) {
-    const auto it = reporter.bytes_per_second.find(f.benchmark);
-    if (!f.hardware) {
+    const char* counter = f.per_item ? "items_per_second" : "bytes_per_second";
+    const auto row = reporter.rates.find(f.benchmark);
+    const bool measured = row != reporter.rates.end() && row->second.count(counter) != 0;
+    const std::string label =
+        std::string(f.primitive) + (f.kernel != nullptr ? std::string(" [") + f.kernel + "]" : "");
+    if (!f.gated) {
       std::printf("gate %s: no floor (portable kernel)\n", f.primitive);
-    } else if (it == reporter.bytes_per_second.end()) {
+    } else if (!measured) {
       std::printf("gate %s: FAIL, %s not measured (run without --benchmark_filter)\n",
                   f.primitive, f.benchmark);
       ++failures;
     } else {
-      const bool ok = it->second >= f.min_bytes_per_second;
-      std::printf("gate %s [%s]: %.0f MB/s (floor %.0f MB/s) %s\n", f.primitive, f.kernel,
-                  it->second / 1e6, f.min_bytes_per_second / 1e6, ok ? "ok" : "FAIL");
+      const double rate = row->second.at(counter);
+      const bool ok = rate >= f.min_rate;
+      if (f.per_item) {
+        std::printf("gate %s: %.0f/s (floor %.0f/s) %s\n", label.c_str(), rate, f.min_rate,
+                    ok ? "ok" : "FAIL");
+      } else {
+        std::printf("gate %s: %.0f MB/s (floor %.0f MB/s) %s\n", label.c_str(), rate / 1e6,
+                    f.min_rate / 1e6, ok ? "ok" : "FAIL");
+      }
       if (!ok) ++failures;
     }
   }

@@ -1,8 +1,8 @@
 #include "diff/binary_diff.h"
 
 #include <algorithm>
-#include <unordered_map>
-
+#include <array>
+#include <vector>
 
 namespace rockfs::diff {
 
@@ -26,12 +26,16 @@ class RollingHash {
     for (std::uint32_t x = 0; x < 256; ++x) drop_[x] = len_mod * x % kMod;
   }
 
+  // a = sum x_i and b = sum (len - i) * x_i, summed wide and reduced once.
   void init(BytesView window) {
-    a_ = b_ = 0;
-    for (const Byte x : window) {
-      a_ = reduce(a_ + x);
-      b_ = reduce(b_ + a_);
+    std::uint64_t a = 0, b = 0;
+    const std::size_t len = window.size();
+    for (std::size_t i = 0; i < len; ++i) {
+      a += window[i];
+      b += static_cast<std::uint64_t>(len - i) * window[i];
     }
+    a_ = static_cast<std::uint32_t>(a % kMod);
+    b_ = static_cast<std::uint32_t>(b % kMod);
   }
   void roll(Byte out, Byte in) {
     a_ = reduce(reduce(a_ + in) + kMod - out);
@@ -46,6 +50,66 @@ class RollingHash {
   std::uint32_t a_ = 0;
   std::uint32_t b_ = 0;
   std::uint32_t drop_[256];
+};
+
+// Old blocks by weak hash: a flat open-addressed table with linear probing,
+// at most half full. Blocks go in from the highest offset down, and linear
+// probing keeps equal keys in insertion order, so a lookup meets byte-equal
+// blocks highest offset first. That is the order the std::unordered_multimap
+// this replaced returned them in (libstdc++ lists equal keys newest first),
+// and the recorded delta digests pin it.
+class BlockIndex {
+ public:
+  BlockIndex(BytesView old_data, std::size_t block_size) {
+    const std::size_t blocks = old_data.size() / block_size;
+    std::size_t capacity = 16;
+    while (capacity < 2 * blocks) capacity *= 2;
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+    RollingHash rh(block_size);
+    for (std::size_t b = blocks; b-- > 0;) {
+      rh.init(old_data.subspan(b * block_size, block_size));
+      const std::uint64_t h = mix(rh.digest());
+      present_[h >> 54] |= std::uint64_t{1} << ((h >> 48) & 63);
+      std::size_t i = static_cast<std::size_t>(h >> shift_);
+      while (slots_[i].offset != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = {rh.digest(), b * block_size};
+    }
+  }
+
+  /// The first block (in the order above) with this weak hash that
+  /// `matches` accepts, or kEmpty.
+  template <typename Matches>
+  std::size_t find(std::uint32_t digest, Matches matches) const {
+    const std::uint64_t h = mix(digest);
+    if ((present_[h >> 54] >> ((h >> 48) & 63) & 1) == 0) return kEmpty;
+    for (std::size_t i = static_cast<std::size_t>(h >> shift_);; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.offset == kEmpty) return kEmpty;
+      if (slot.digest == digest && matches(slot.offset)) return slot.offset;
+    }
+  }
+
+  static constexpr std::size_t kEmpty = SIZE_MAX;
+
+ private:
+  struct Slot {
+    std::uint32_t digest = 0;
+    std::size_t offset = kEmpty;
+  };
+
+  // Fibonacci hashing: the weak hash's low bits alone cluster. The top bits
+  // pick the home slot; bits 48..63 also pick a bit of `present_`.
+  static std::uint64_t mix(std::uint32_t digest) { return digest * 0x9E3779B97F4A7C15ULL; }
+
+  // One bit per 16-bit hash prefix (8 KiB), set for every stored block: most windows
+  // of a rewritten region miss here, in L1, without touching `slots_` (where
+  // an empty-or-not branch at half load would mispredict every other byte).
+  std::array<std::uint64_t, 1024> present_{};
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 0;
 };
 
 std::size_t pick_block_size(std::size_t old_size) {
@@ -76,18 +140,13 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
   }
   const std::size_t bs = block_size != 0 ? block_size : pick_block_size(old_data.size());
 
-  // Index old blocks by weak hash -> offset. A weak hit is confirmed by
-  // comparing the bytes, so no strong hash is needed.
-  std::unordered_multimap<std::uint32_t, std::size_t> index;
-  index.reserve(old_data.size() / bs + 1);
+  // A weak hit is confirmed by comparing the bytes, so no strong hash is needed.
+  const BlockIndex index(old_data, bs);
   RollingHash rh(bs);
-  for (std::size_t off = 0; off + bs <= old_data.size(); off += bs) {
-    rh.init(old_data.subspan(off, bs));
-    index.emplace(rh.digest(), off);
-  }
 
-  Bytes pending_literal;
   std::size_t pos = 0;
+  // The pending literal is always the run new_data[literal_start, pos).
+  std::size_t literal_start = 0;
   // Coalesced COPY state.
   bool copy_open = false;
   std::uint64_t copy_off = 0, copy_len = 0;
@@ -100,8 +159,7 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
   };
   auto flush_literal = [&] {
     flush_copy();
-    emit_insert(out, pending_literal);
-    pending_literal.clear();
+    emit_insert(out, new_data.subspan(literal_start, pos - literal_start));
   };
 
   bool rh_valid = false;
@@ -109,7 +167,6 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
     if (pos + bs > new_data.size()) {
       // Tail shorter than a block: emit as literal.
       flush_copy();
-      append(pending_literal, new_data.subspan(pos));
       pos = new_data.size();
       break;
     }
@@ -118,17 +175,13 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
       rh_valid = true;
     }
     // Look up the window.
-    std::size_t match_off = SIZE_MAX;
-    for (auto [it, end] = index.equal_range(rh.digest()); it != end; ++it) {
-      if (std::equal(new_data.begin() + static_cast<std::ptrdiff_t>(pos),
-                     new_data.begin() + static_cast<std::ptrdiff_t>(pos + bs),
-                     old_data.begin() + static_cast<std::ptrdiff_t>(it->second))) {
-        match_off = it->second;
-        break;
-      }
-    }
-    if (match_off != SIZE_MAX) {
-      if (!pending_literal.empty()) flush_literal();
+    const std::size_t match_off = index.find(rh.digest(), [&](std::size_t off) {
+      return std::equal(new_data.begin() + static_cast<std::ptrdiff_t>(pos),
+                        new_data.begin() + static_cast<std::ptrdiff_t>(pos + bs),
+                        old_data.begin() + static_cast<std::ptrdiff_t>(off));
+    });
+    if (match_off != BlockIndex::kEmpty) {
+      if (literal_start != pos) flush_literal();
       // Extend an open COPY when contiguous.
       if (copy_open && copy_off + copy_len == match_off) {
         copy_len += bs;
@@ -139,10 +192,10 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
         copy_len = bs;
       }
       pos += bs;
+      literal_start = pos;
       rh_valid = false;
     } else {
       flush_copy();
-      pending_literal.push_back(new_data[pos]);
       if (pos + bs < new_data.size()) {
         rh.roll(new_data[pos], new_data[pos + bs]);
       } else {
