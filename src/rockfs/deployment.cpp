@@ -574,6 +574,29 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
   ReconfigurationReport out;
   const auto t0 = clock_->now_us();
   obs::Span span = obs::tracer().span("reconfig");
+  // A reconfiguration's virtual time all passes in child spans (coordination
+  // ops, cloud lists, DepSky repair steps), composed serially: the root
+  // charges every clock advance it makes, and the whole interval of each
+  // helper that makes its own (also when a crash point throws out of it).
+  const auto charge = [&](sim::SimClock::Micros us) {
+    clock_->advance_us(us);
+    span.charge_child(static_cast<std::uint64_t>(us));
+  };
+  const auto charge_over = [&](auto&& step) {
+    struct Interval {
+      obs::Span& span;
+      sim::SimClock& clock;
+      sim::SimClock::Micros start;
+      ~Interval() { span.charge_child(static_cast<std::uint64_t>(clock.now_us() - start)); }
+    } interval{span, *clock_, clock_->now_us()};
+    return step();
+  };
+  // The one exit: stamps the duration on success, error and crash alike.
+  const auto leave = [&](Result<ReconfigurationReport> result) {
+    span.set_duration(static_cast<std::uint64_t>(clock_->now_us() - t0));
+    if (!result.ok()) span.set_outcome(result.code());
+    return result;
+  };
   try {
     // 1. Stage the manifest and the spare (durably, on the admin's disk) so
     //    a crashed pipeline resumes the same epoch instead of re-minting.
@@ -586,8 +609,8 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
       std::vector<std::string> new_names = old_names;
       new_names[replaced_index] = spare->name();
       auto published = depsky::read_membership_manifests(*coordination_);
-      clock_->advance_us(published.delay);
-      if (!published.value.ok()) return Error{published.value.error()};
+      charge(published.delay);
+      if (!published.value.ok()) return leave(Error{published.value.error()});
       std::uint64_t epoch = membership_epoch_ + 1;
       for (const auto& m : *published.value) epoch = std::max(epoch, m.epoch + 1);
       pending_reconfig_.manifest = depsky::make_membership_manifest(
@@ -596,8 +619,8 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
       pending_reconfig_.active = true;
     }
     if (pending_reconfig_.manifest.replaced_index != replaced_index) {
-      return Error{ErrorCode::kConflict,
-                   "reconfigure_cloud: a reconfiguration of another slot is in flight"};
+      return leave(Error{ErrorCode::kConflict,
+                         "reconfigure_cloud: a reconfiguration of another slot is in flight"});
     }
 
     // 2. Publish via CAS: one winner per epoch. Losing to our own manifest
@@ -606,12 +629,12 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     for (int attempt = 0;; ++attempt) {
       auto won = depsky::publish_membership_manifest(*coordination_,
                                                      pending_reconfig_.manifest);
-      clock_->advance_us(won.delay);
-      if (!won.value.ok()) return Error{won.value.error()};
+      charge(won.delay);
+      if (!won.value.ok()) return leave(Error{won.value.error()});
       if (*won.value) break;
       auto again = depsky::read_membership_manifests(*coordination_);
-      clock_->advance_us(again.delay);
-      if (!again.value.ok()) return Error{again.value.error()};
+      charge(again.delay);
+      if (!again.value.ok()) return leave(Error{again.value.error()});
       bool ours = false;
       std::uint64_t next = pending_reconfig_.manifest.epoch + 1;
       for (const auto& m : *again.value) {
@@ -623,8 +646,8 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
       }
       if (ours) break;
       if (attempt >= 8) {
-        return Error{ErrorCode::kConflict,
-                     "reconfigure_cloud: could not win a membership epoch"};
+        return leave(Error{ErrorCode::kConflict,
+                           "reconfigure_cloud: could not win a membership epoch"});
       }
       pending_reconfig_.manifest = depsky::make_membership_manifest(
           next, pending_reconfig_.manifest.old_clouds, pending_reconfig_.manifest.new_clouds,
@@ -640,9 +663,9 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     // 3. Mint every user's tokens at the spare, reseal their keystores, and
     //    swap the fleet slot. Skipped when a resumed pipeline already did it.
     if (clouds_[replaced_index]->name() != out.new_cloud) {
-      if (auto st = adopt_spare_tokens(replaced_index, pending_reconfig_.spare); !st.ok()) {
-        return Error{st.error()};
-      }
+      const Status adopted =
+          charge_over([&] { return adopt_spare_tokens(replaced_index, pending_reconfig_.spare); });
+      if (!adopted.ok()) return leave(Error{adopted.error()});
       clouds_[replaced_index] = pending_reconfig_.spare;
       for (auto& [user_id, agent] : agents_) {
         (void)user_id;
@@ -657,32 +680,32 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     //    a unit interrupted between steps converges on the re-run.
     auto storage = make_admin_storage();
     const auto admin = admin_tokens();
-    const auto units = enumerate_units(replaced_index);
+    const auto units = charge_over([&] { return enumerate_units(replaced_index); });
     out.units_total = units.size();
     bool first_migration = true;
     for (const auto& unit : units) {
       auto done = depsky::unit_migrated(*coordination_, epoch, unit);
-      clock_->advance_us(done.delay);
-      if (!done.value.ok()) return Error{done.value.error()};
+      charge(done.delay);
+      if (!done.value.ok()) return leave(Error{done.value.error()});
       if (*done.value) {
         ++out.units_resumed;
         continue;
       }
       auto fixed = storage->repair(admin, unit);
-      clock_->advance_us(fixed.delay);
-      if (!fixed.value.ok()) return Error{fixed.value.error()};
+      charge(fixed.delay);
+      if (!fixed.value.ok()) return leave(Error{fixed.value.error()});
       out.shares_rebuilt += fixed.value->shares_repaired;
       if (!unit.starts_with(cloud::kLogPrefix)) {
         // Log units are append-only (their metadata cannot be overwritten,
         // by design); the epoch fence protects the mutable file namespace.
         auto stamped = storage->stamp_membership_epoch(admin, unit, epoch);
-        clock_->advance_us(stamped.delay);
-        if (!stamped.value.ok()) return Error{stamped.value.error()};
+        charge(stamped.delay);
+        if (!stamped.value.ok()) return leave(Error{stamped.value.error()});
         ++out.metas_stamped;
       }
       auto marked = depsky::mark_unit_migrated(*coordination_, epoch, unit);
-      clock_->advance_us(marked.delay);
-      if (!marked.value.ok()) return Error{marked.value.error()};
+      charge(marked.delay);
+      if (!marked.value.ok()) return leave(Error{marked.value.error()});
       ++out.units_migrated;
       if (first_migration) {
         first_migration = false;
@@ -695,8 +718,11 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     membership_epoch_ = epoch;
     for (auto& [user_id, agent] : agents_) {
       agent->set_membership_epoch(epoch);
-      if (agent->logged_in()) agent->logout();
-      if (auto st = relogin(user_id); !st.ok()) return Error{st.error()};
+      const Status back = charge_over([&] {
+        if (agent->logged_in()) agent->logout();
+        return relogin(user_id);
+      });
+      if (!back.ok()) return leave(Error{back.error()});
     }
     pending_reconfig_ = {};
     out.duration_us = static_cast<sim::SimClock::Micros>(clock_->now_us() - t0);
@@ -704,12 +730,10 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     reg.counter("reconfig.completed").add();
     reg.counter("reconfig.units.migrated").add(out.units_migrated);
     reg.counter("reconfig.shares.rebuilt").add(out.shares_rebuilt);
-    span.set_duration(static_cast<std::uint64_t>(out.duration_us));
-    return out;
+    return leave(std::move(out));
   } catch (const sim::ClientCrash& crash) {
-    span.set_outcome(ErrorCode::kCrashed);
-    return Error{ErrorCode::kCrashed, std::string("reconfiguration crashed at ") +
-                                          sim::crash_point_name(crash.point)};
+    return leave(Error{ErrorCode::kCrashed, std::string("reconfiguration crashed at ") +
+                                                sim::crash_point_name(crash.point)});
   }
 }
 

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "depsky/client.h"
 #include "depsky/reconfig.h"
+#include "obs/trace.h"
 #include "rockfs/attack.h"
 #include "rockfs/deployment.h"
 #include "rockfs/logservice.h"
@@ -143,6 +144,25 @@ Bytes content_for(const std::string& tag, std::uint64_t seed) {
   return rng.next_bytes(1'200);
 }
 
+// The newest `reconfig` root in the trace (call obs::tracer().reset() before
+// the reconfiguration so the ring holds its whole subtree) reconciles: its
+// serial subtree's summed exclusive time equals its stamped duration.
+// Returns that duration.
+std::uint64_t reconfig_root_reconciles() {
+  const auto events = obs::tracer().events();
+  EXPECT_EQ(obs::tracer().dropped_count(), 0u);
+  const obs::TraceEvent* root = nullptr;
+  for (const auto& e : events) {
+    if (e.name == "reconfig" && e.parent == 0) root = &e;
+  }
+  if (root == nullptr) {
+    ADD_FAILURE() << "no reconfig root span";
+    return 0;
+  }
+  EXPECT_EQ(obs::reconcile_exclusive_us(events, root->id), root->duration_us);
+  return root->duration_us;
+}
+
 TEST(Reconfiguration, EvictsQuarantinedCloudAndPreservesData) {
   DeploymentOptions opts;
   opts.seed = 91;
@@ -160,8 +180,10 @@ TEST(Reconfiguration, EvictsQuarantinedCloudAndPreservesData) {
   ASSERT_TRUE(attack.quarantined);
   ASSERT_EQ(attack.read_mismatches, 0u);
 
+  obs::tracer().reset();
   auto rep = dep.reconfigure_cloud(1);
   ASSERT_TRUE(rep.ok()) << rep.error().message;
+  EXPECT_EQ(reconfig_root_reconciles(), static_cast<std::uint64_t>(rep->duration_us));
   EXPECT_EQ(rep->epoch, 1u);
   EXPECT_EQ(rep->replaced_index, 1u);
   EXPECT_EQ(rep->old_cloud, "cloud-1");
@@ -219,9 +241,12 @@ TEST(Reconfiguration, ResumesBitIdenticallyThroughCrashes) {
       for (const auto point : {sim::CrashPoint::kAfterMembershipManifest,
                                sim::CrashPoint::kMidShareMigration}) {
         dep.crash_schedule()->arm(point);
+        obs::tracer().reset();
         auto crashed = dep.reconfigure_cloud(2);
         EXPECT_FALSE(crashed.ok());
         EXPECT_EQ(crashed.code(), ErrorCode::kCrashed);
+        // A crashed run's root still carries (and reconciles) its time.
+        EXPECT_GT(reconfig_root_reconciles(), 0u);
       }
     }
     auto rep = dep.reconfigure_cloud(2);
